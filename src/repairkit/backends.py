@@ -155,6 +155,13 @@ _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)   # odd, so invertible mod 2**64
 _HASH_MULT_INV = np.uint64(pow(0x9E3779B97F4A7C15, -1, 1 << 64))
 
 
+def _extend_powers(table: np.ndarray, mult: np.uint64, extra: int) -> np.ndarray:
+    """``table`` (``mult**k`` mod 2**64 for k < len) and the next ``extra``
+    powers; uint64 products wrap mod 2**64, which is the hash's arithmetic."""
+    steps = np.cumprod(np.full(extra, mult, dtype=np.uint64))
+    return np.concatenate((table, table[-1] * steps))
+
+
 class SeededRandomBackend:
     """Adversarial backend: the next token is a hash of the entire prefix.
 
@@ -172,25 +179,21 @@ class SeededRandomBackend:
         self.eos_token = eos_token
         self._token_ids: dict[str, int] = {}
         size = len(self.vocab)
-        self._powers = np.empty(0, dtype=np.uint64)
-        self._inv_powers = np.empty(0, dtype=np.uint64)
+        self._powers = np.ones(1, dtype=np.uint64)
+        self._inv_powers = np.ones(1, dtype=np.uint64)
         self._grow_tables(256)
         self._seed64 = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._size = size
 
     def _grow_tables(self, n: int) -> None:
-        if len(self._powers) >= n:
+        # at least doubling keeps a context that grows a token per pass from
+        # extending the tables on every pass
+        have = len(self._powers)
+        if have >= n:
             return
-        powers = np.empty(n, dtype=np.uint64)
-        inv = np.empty(n, dtype=np.uint64)
-        powers[0] = np.uint64(1)
-        inv[0] = np.uint64(1)
-        with np.errstate(over="ignore"):
-            for i in range(1, n):
-                powers[i] = powers[i - 1] * _HASH_MULT
-                inv[i] = inv[i - 1] * _HASH_MULT_INV
-        self._powers = powers
-        self._inv_powers = inv
+        extra = max(n, 2 * have) - have
+        self._powers = _extend_powers(self._powers, _HASH_MULT, extra)
+        self._inv_powers = _extend_powers(self._inv_powers, _HASH_MULT_INV, extra)
 
     def _token_id(self, token: str) -> int:
         tid = self._token_ids.get(token)

@@ -183,7 +183,6 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
         fixed = parse(fixed)
 
     diff = align_statements(buggy, fixed)
-    facts = extract_facts(fixed)
     n = len(fixed.statements)
 
     flags: list[str] = []
@@ -204,7 +203,7 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
     sources = _modification_sources(diff)
 
     if cfg.strategy in ("M3", "M4") and sources:
-        for idx, w in expand_mask(diff, facts, fixed, cfg).items():
+        for idx, w in expand_mask(diff, diff.facts, fixed, cfg).items():
             raw[idx] = w
             roles[idx] = "expanded"
 

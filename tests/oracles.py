@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+import zlib
 from functools import lru_cache
 
 
@@ -98,6 +99,73 @@ def align_cost_ref(a: list[str], b: list[str]) -> float:
         return best
 
     return go(0, 0)
+
+
+def align_pairs_ref(a: list[str], b: list[str]) -> list[tuple]:
+    """The full-table statement alignment, as ``(op, buggy, fixed)`` triples.
+
+    This is the O(n*m) DP and traceback that ``align_statements`` trims: the
+    same float recurrence, the diagonal preferred, then deletion, then
+    insertion, with a 1e-12 tie tolerance.  It fixes which of several
+    cost-optimal alignments is the right one, which ``align_cost_ref`` does not.
+    """
+
+    def sub_cost(x: str, y: str) -> float:
+        if x == y:
+            return 0.0
+        return lev_ref(x, y) / max(len(x), len(y), 1)
+
+    n, m = len(a), len(b)
+    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        cost[i][0] = float(i)
+    for j in range(1, m + 1):
+        cost[0][j] = float(j)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost[i][j] = min(
+                cost[i - 1][j - 1] + sub_cost(a[i - 1], b[j - 1]),
+                cost[i - 1][j] + 1.0,
+                cost[i][j - 1] + 1.0,
+            )
+
+    pairs: list[tuple] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            diag = cost[i - 1][j - 1] + sub_cost(a[i - 1], b[j - 1])
+            if abs(cost[i][j] - diag) < 1e-12:
+                op = "match" if a[i - 1] == b[j - 1] else "replace"
+                pairs.append((op, i - 1, j - 1))
+                i -= 1
+                j -= 1
+                continue
+        if i > 0 and abs(cost[i][j] - (cost[i - 1][j] + 1.0)) < 1e-12:
+            pairs.append(("delete", i - 1, None))
+            i -= 1
+            continue
+        pairs.append(("insert", None, j - 1))
+        j -= 1
+    return pairs[::-1]
+
+
+def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[str]:
+    """``SeededRandomBackend.forward`` as a scalar Horner loop over the prefix.
+
+    The library evaluates the same polynomial hash with precomputed power
+    tables and a vectorized cumulative sum; ``vocab`` must include EOS.
+    """
+    mask = (1 << 64) - 1
+    mult = 0x9E3779B97F4A7C15
+    h = 0
+    out = []
+    for tok in tokens:
+        h = (h * mult + zlib.crc32(tok.encode("utf-8", "replace")) + seed) & mask
+        x = h ^ (h >> 33)
+        x = (x * 0xFF51AFD7ED558CCD) & mask
+        x ^= x >> 29
+        out.append(vocab[x % len(vocab)])
+    return out
 
 
 def normalize_ref(text: str) -> str:

@@ -7,6 +7,8 @@ from repairkit.backends import (EOS, NGramBackend, SeededRandomBackend,
                                 make_repair_oracle)
 from repairkit.errors import RepairKitError
 
+from oracles import seeded_random_ref
+
 
 # ---------------------------------------------------------------------------
 # scripted oracle
@@ -153,6 +155,17 @@ def test_seeded_backend_is_causal(seed, cut):
     full = backend.forward(toks)
     prefix = backend.forward(toks[:cut])
     assert full[:cut] == prefix
+
+
+def test_seeded_backend_grown_one_token_at_a_time_matches_a_fresh_one():
+    v = [f"t{i}" for i in range(40)]
+    grown = SeededRandomBackend(9, v)
+    toks = [v[(i * 7) % len(v)] for i in range(600)]
+    ref = seeded_random_ref(9, list(grown.vocab), toks)
+    for n in range(1, len(toks) + 1):
+        preds = grown.forward(toks[:n])
+        assert preds == SeededRandomBackend(9, v).forward(toks[:n])
+        assert preds == ref[:n]
 
 
 def test_seeded_backend_emits_tokens_from_its_vocab():

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repairkit.diffs import align_statements, levenshtein, line_edit_distance
+from repairkit.source import extract_facts, parse
 
 from conftest import gen_program, perturb_program
-from oracles import align_cost_ref, led_ref, lev_ref, lev_tokens_ref
+from oracles import align_cost_ref, align_pairs_ref, led_ref, lev_ref, lev_tokens_ref
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +34,13 @@ def test_levenshtein_symmetry_and_bounds(a, b):
     assert d == levenshtein(b, a)
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
     assert (d == 0) == (a == b)
+
+
+@given(short_text, short_text, short_text, short_text)
+def test_levenshtein_with_shared_ends_matches_reference(prefix, suffix, x, y):
+    a, b = prefix + x + suffix, prefix + y + suffix
+    assert levenshtein(a, b) == lev_ref(a, b)
+    assert levenshtein(list(a), list(b)) == lev_ref(a, b)
 
 
 def test_levenshtein_frozen_examples():
@@ -105,6 +113,65 @@ def test_called_function_names_collected_from_modified_statements():
     fixed = "int main() { x = helper(2); }"
     diff = align_statements(buggy, fixed)
     assert "helper" in diff.modified_calls
+
+
+# A changed last statement keeps the common suffix from settling the tie, so
+# the second case runs through the prefix trim and its fix-up walk.
+tie_tails = pytest.mark.parametrize(
+    "last, op", [("c = 3;", "match"), ("c = 4;", "replace")])
+
+
+@tie_tails
+def test_tie_break_keeps_deletions_before_the_repeated_statement(last, op):
+    # the full DP deletes the first two statements, not "b = 2; a = 1;"
+    diff = align_statements("a = 1; b = 2; a = 1; c = 3;", "a = 1; " + last)
+    assert [(p.op, p.buggy, p.fixed) for p in diff.pairs] == [
+        ("delete", 0, None), ("delete", 1, None), ("match", 2, 0), (op, 3, 1)]
+    assert diff.modified == (() if op == "match" else (1,))
+    assert diff.deletion_anchors == {0: (0, 1)}
+
+
+@tie_tails
+def test_tie_break_keeps_insertions_before_the_repeated_statement(last, op):
+    diff = align_statements("a = 1; " + last, "a = 1; b = 2; a = 1; c = 3;")
+    assert [(p.op, p.buggy, p.fixed) for p in diff.pairs] == [
+        ("insert", None, 0), ("insert", None, 1), ("match", 0, 2), (op, 1, 3)]
+    assert diff.modified == ((0, 1) if op == "match" else (0, 1, 3))
+    assert diff.deletion_anchors == {}
+
+
+def _pairs_and_ref(buggy, fixed):
+    diff = align_statements(buggy, fixed)
+    a = [s.normalized for s in diff.buggy.statements]
+    b = [s.normalized for s in diff.fixed.statements]
+    return [(p.op, p.buggy, p.fixed) for p in diff.pairs], align_pairs_ref(a, b)
+
+
+repeated_statements = st.lists(
+    st.sampled_from(["a = 1;", "b = 2;", "a = 2;", "c = 3;", "a = 1 + b;"]),
+    max_size=9).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_statements, repeated_statements)
+def test_alignment_equals_full_dp_on_repeated_statements(buggy, fixed):
+    got, ref = _pairs_and_ref(buggy, fixed)
+    assert got == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_alignment_equals_full_dp_on_generated_programs(seed):
+    rng = random.Random(seed)
+    buggy = gen_program(rng)
+    got, ref = _pairs_and_ref(buggy, perturb_program(rng, buggy))
+    assert got == ref
+
+
+def test_facts_are_those_of_the_fixed_unit():
+    fixed = parse("int f(int x) { return x; } int main() { y = f(2); }")
+    diff = align_statements("int main() { y = 1; }", fixed)
+    assert diff.facts == extract_facts(fixed)
 
 
 def _alignment_cost(diff):
