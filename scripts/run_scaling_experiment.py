@@ -20,13 +20,13 @@ import sys
 
 from repairkit.backends import TargetOracleBackend
 from repairkit.decoding import (DecodeLimits, DraftSource, accelerated_decode,
-                                ar_decode, compute_metrics)
+                                ar_decode, compute_metrics, repair_prompt)
 from repairkit.synthetic import make_pair
 
 
 def run_cell(length: int, regions: int, seed: int) -> dict:
     pair = make_pair(length, regions, random.Random(seed))
-    prompt = ["<fix>"] + list(pair.buggy_tokens) + ["<sep>"]
+    prompt = repair_prompt(pair.buggy_tokens)
     backend = TargetOracleBackend()
     backend.script(prompt, list(pair.target_tokens))
     source = DraftSource.from_tokens(pair.buggy_tokens)

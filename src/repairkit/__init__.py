@@ -11,21 +11,19 @@ from .backends import (EOS, NGramBackend, SeededRandomBackend,
                        TargetOracleBackend, apply_token_edits,
                        make_repair_oracle)
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
-                      export_corpus, filter_pairs, load_archive,
-                      pair_submissions)
+                      filter_pairs, load_archive, pair_submissions)
 from .decoding import (BOUNDARY_TOKENS, CostModel, DecodeLimits, DecodeResult,
                        DecodeStats, DraftSource, EfficiencyReport,
                        accelerated_decode, aggregate_reports, ar_decode,
                        chunk_token_ranges, compute_metrics, draft_generate,
-                       longest_matching_prefix, probe_backend)
+                       longest_matching_prefix, probe_backend, repair_prompt)
 from .diffs import AlignedDiff, align_statements, levenshtein, line_edit_distance
 from .errors import (BackendContractError, DegenerateInputError,
                      LosslessnessError, RepairKitError)
 from .mask import (MaskConfig, MaskVector, broadcast_to_tokens, build_mask,
                    expansion_weight, repair_loss, similarity,
                    similarity_from_distance)
-from .source import (SourceUnit, Statement, extract_facts, parse,
-                     segment_statements)
+from .source import SourceUnit, Statement, extract_facts, parse
 from .triage import (BugType, ExecutorConfig, ExecutionReport, ProblemMeta,
                      TestCase, build_prompt, classify, load_problem_meta,
                      normalize_output, triage_source)
@@ -38,7 +36,7 @@ __all__ = [
     "RepairKitError", "DegenerateInputError", "BackendContractError",
     "LosslessnessError",
     # source analysis
-    "parse", "segment_statements", "extract_facts", "SourceUnit", "Statement",
+    "parse", "extract_facts", "SourceUnit", "Statement",
     # diffs
     "levenshtein", "line_edit_distance", "align_statements", "AlignedDiff",
     # masks
@@ -48,13 +46,13 @@ __all__ = [
     "BOUNDARY_TOKENS", "CostModel", "DecodeLimits", "DecodeResult",
     "DecodeStats", "DraftSource", "EfficiencyReport", "accelerated_decode",
     "ar_decode", "aggregate_reports", "chunk_token_ranges", "compute_metrics",
-    "draft_generate", "longest_matching_prefix", "probe_backend",
+    "draft_generate", "longest_matching_prefix", "probe_backend", "repair_prompt",
     # backends
     "EOS", "TargetOracleBackend", "NGramBackend", "SeededRandomBackend",
     "apply_token_edits", "make_repair_oracle",
     # dataset
     "Submission", "RepairPair", "load_archive", "pair_submissions",
-    "filter_pairs", "build_records", "export_corpus", "corpus_stats",
+    "filter_pairs", "build_records", "corpus_stats",
     # triage
     "BugType", "ExecutorConfig", "ExecutionReport", "ProblemMeta", "TestCase",
     "triage_source", "classify", "normalize_output", "load_problem_meta",

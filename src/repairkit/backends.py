@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .decoding import chunk_token_ranges, repair_prompt
 from .errors import DegenerateInputError, RepairKitError
 from .source import parse
 
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 EOS = "<eos>"
+TRAINING_PATTERNS = ("*.c", "*.txt")   # files NGramBackend.from_dir trains on
 
 
 class TargetOracleBackend:
@@ -111,11 +113,10 @@ class NGramBackend:
 
     @classmethod
     def from_dir(cls, path: str | Path, order: int = 3,
-                 eos_token: str = EOS, patterns: Sequence[str] = ("*.c", "*.txt"),
-                 ) -> "NGramBackend":
+                 eos_token: str = EOS) -> "NGramBackend":
         root = Path(path)
         files: list[Path] = []
-        for pat in patterns:
+        for pat in TRAINING_PATTERNS:
             files.extend(root.rglob(pat))
         texts = [f.read_text() for f in sorted(set(files))]
         if not texts:
@@ -230,8 +231,6 @@ def apply_token_edits(tokens: Sequence[str],
     Indices address statement chunks of the input stream; edits are applied
     together against the original chunking.
     """
-    from .decoding import chunk_token_ranges
-
     toks = list(tokens)
     if not edits:
         return toks
@@ -273,7 +272,7 @@ def make_repair_oracle(buggy: Sequence[str], fixed: Sequence[str],
     """
     target = apply_token_edits(fixed, noise)
     backend = TargetOracleBackend(eos_token)
-    prompt = ["<fix>"] + list(buggy) + ["<sep>"]
+    prompt = repair_prompt(buggy)
     backend.script(prompt, target)
     backend.prompt = prompt
     return backend

@@ -23,13 +23,14 @@ from pathlib import Path
 
 from .backends import EOS, NGramBackend, SeededRandomBackend, TargetOracleBackend
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
-                      filter_pairs, load_archive, pair_seed, pair_submissions)
+                      filter_pairs, load_archive, mask_record, pair_mask,
+                      pair_submissions)
 from .decoding import (CostModel, DecodeLimits, DecodeResult, DraftSource,
                        accelerated_decode, aggregate_reports, ar_decode,
-                       compute_metrics, probe_backend)
+                       compute_metrics, probe_backend, repair_prompt)
 from .errors import (BackendContractError, DegenerateInputError,
                      LosslessnessError, RepairKitError)
-from .mask import MaskConfig, build_mask
+from .mask import MaskConfig
 from .source import parse
 from .synthetic import render_tokens
 from .triage import (BugType, ExecutorConfig, build_prompt, classify,
@@ -81,20 +82,13 @@ def cmd_mask(args: argparse.Namespace) -> int:
         buggy=Submission(pid, "cli", "0", "WRONG", buggy_code),
         fixed=Submission(pid, "cli", "1", "OK", fixed_code),
     )
-    base = _mask_config(args)
-    record = build_records([pair], base)[0]
+    fixed_unit, mask = pair_mask(pair, _mask_config(args))
+    record = mask_record(pair, fixed_unit, mask)
 
     if args.json or args.out:
         _emit(args, json.dumps(record) + "\n")
     if not args.json:
-        cfg = MaskConfig(
-            strategy=base.strategy, sigma=base.sigma,
-            rng_seed=pair_seed(base.rng_seed, pair_id),
-            dist_granularity=base.dist_granularity,
-            expansion_aggregation=base.expansion_aggregation,
-        )
-        mask = build_mask(parse(buggy_code), parse(fixed_code), cfg)
-        print(f"pair {pair_id} strategy={cfg.strategy} sigma={cfg.sigma}")
+        print(f"pair {pair_id} strategy={mask.strategy} sigma={mask.sigma}")
         for i, stmt in enumerate(record["statements"]):
             k = stmt["k"]
             k_txt = f"{k:.4f}" if k is not None else "   -  "
@@ -112,6 +106,11 @@ def cmd_mask(args: argparse.Namespace) -> int:
 # dataset
 
 
+def _write_jsonl(fh, records: list[dict]) -> None:
+    for rec in records:
+        fh.write(json.dumps(rec) + "\n")
+
+
 def cmd_dataset(args: argparse.Namespace) -> int:
     subs = load_archive(args.archive)
     pairs = pair_submissions(subs)
@@ -119,8 +118,7 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     dropped = len(pairs) - len(kept)
     if not kept:
         raise DegenerateInputError("no repair pairs survive pairing and filtering")
-    records = build_records(kept, _mask_config(args), jobs=args.jobs)
-    corpus = "".join(json.dumps(r) + "\n" for r in records)
+    records = build_records(kept, _mask_config(args))
 
     stats = corpus_stats(kept)
     stats["dropped_restructuring"] = dropped
@@ -128,7 +126,8 @@ def cmd_dataset(args: argparse.Namespace) -> int:
         Path(args.stats).write_text(_dump(stats))
 
     if args.out:
-        Path(args.out).write_text(corpus)
+        with open(args.out, "w") as fh:
+            _write_jsonl(fh, records)
         if args.json:
             sys.stdout.write(_dump(stats))
         else:
@@ -137,7 +136,7 @@ def cmd_dataset(args: argparse.Namespace) -> int:
             print(f"problems={stats['problems']} students={stats['students']} "
                   f"median_lines={stats['median_lines']}")
     else:
-        sys.stdout.write(corpus)
+        _write_jsonl(sys.stdout, records)
         print(f"{len(records)} records, {dropped} dropped (LED > {args.max_led})",
               file=sys.stderr)
     return 0
@@ -205,13 +204,6 @@ def cmd_triage(args: argparse.Namespace) -> int:
 # repair
 
 
-def _token_prompt(buggy_tokens: list[str], bug_type: str | None) -> list[str]:
-    head = ["<fix>"]
-    if bug_type:
-        head.append(f"<bug:{bug_type}>")
-    return head + buggy_tokens + ["<sep>"]
-
-
 def _build_backend(args: argparse.Namespace, prompt: list[str],
                    buggy_tokens: list[str]):
     if args.backend == "oracle":
@@ -237,8 +229,7 @@ def _stats_dict(result: DecodeResult) -> dict:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     buggy_tokens = list(parse(Path(args.source).read_text()).token_texts())
-    bug_type = args.bug_type
-    prompt = _token_prompt(buggy_tokens, bug_type)
+    prompt = repair_prompt(buggy_tokens, args.bug_type)
     backend = _build_backend(args, prompt, buggy_tokens)
     if args.probe:
         probe_backend(backend, prompt)
@@ -329,7 +320,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for pid, buggy_code, fixed_code in triples:
         buggy_tokens = list(parse(buggy_code).token_texts())
         fixed_tokens = list(parse(fixed_code).token_texts())
-        prompt = _token_prompt(buggy_tokens, None)
+        prompt = repair_prompt(buggy_tokens)
         backend = TargetOracleBackend()
         backend.script(prompt, fixed_tokens)
         if args.probe:
@@ -391,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    common.add_argument("--config", help="executor config file (key = value)")
     common.add_argument("--json", action="store_true",
                         help="write the machine-readable artifact to stdout")
     common.add_argument("--out", help="write the primary artifact to this file")
@@ -414,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("archive", help="archive directory or submissions JSONL")
     p.add_argument("--max-led", type=int, default=10,
                    help="drop pairs whose line edit distance exceeds this (default 10)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for records")
     p.add_argument("--stats", help="also write corpus statistics JSON here")
     _add_mask_options(p)
     p.set_defaults(func=cmd_dataset)
@@ -422,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triage", parents=[common],
                        help="compile, run and classify one submission")
     p.add_argument("source", help="C source file")
+    p.add_argument("--config", help="executor config file (key = value)")
     p.add_argument("--meta", help="problem metadata JSON (tests, description)")
     p.add_argument("--prompt", action="store_true",
                    help="include the repair prompt in the report")

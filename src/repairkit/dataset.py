@@ -13,15 +13,14 @@ from __future__ import annotations
 import json
 import logging
 import statistics
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from zlib import crc32
 
 from .diffs import line_edit_distance
 from .errors import RepairKitError
-from .mask import MaskConfig, build_mask
-from .source import parse
+from .mask import MaskConfig, MaskVector, build_mask
+from .source import SourceUnit, parse
 
 __all__ = [
     "Submission",
@@ -31,9 +30,10 @@ __all__ = [
     "pair_submissions",
     "filter_pairs",
     "pair_seed",
+    "pair_mask",
+    "mask_record",
     "pair_to_record",
     "build_records",
-    "export_corpus",
     "corpus_stats",
 ]
 
@@ -176,24 +176,20 @@ def pair_seed(global_seed: int, pair_id: str) -> int:
     return global_seed ^ crc32(pair_id.encode())
 
 
-def pair_to_record(pair: RepairPair, config: MaskConfig) -> dict:
-    """One corpus record: the pair plus its mask under ``config``.
+def pair_mask(pair: RepairPair, config: MaskConfig) -> tuple[SourceUnit, MaskVector]:
+    """The parsed fixed side of ``pair`` and its mask under ``config``.
 
-    The record's seed is derived from the config seed and the pair id so a
+    The mask's seed is derived from the config seed and the pair id so a
     corpus is reproducible record-by-record.
     """
-    seed = pair_seed(config.rng_seed, pair.pair_id)
-    cfg = MaskConfig(
-        strategy=config.strategy,
-        sigma=config.sigma,
-        rng_seed=seed,
-        dist_granularity=config.dist_granularity,
-        expansion_aggregation=config.expansion_aggregation,
-        loss_level=config.loss_level,
-    )
+    cfg = replace(config, rng_seed=pair_seed(config.rng_seed, pair.pair_id))
     buggy_unit = parse(pair.buggy.code)
     fixed_unit = parse(pair.fixed.code)
-    mask = build_mask(buggy_unit, fixed_unit, cfg)
+    return fixed_unit, build_mask(buggy_unit, fixed_unit, cfg)
+
+
+def mask_record(pair: RepairPair, fixed_unit: SourceUnit, mask: MaskVector) -> dict:
+    """The corpus record of ``pair`` with a mask already built by :func:`pair_mask`."""
     statements = []
     for i, stmt in enumerate(fixed_unit.statements):
         statements.append({
@@ -206,35 +202,24 @@ def pair_to_record(pair: RepairPair, config: MaskConfig) -> dict:
         "problem_id": pair.problem_id,
         "buggy_code": pair.buggy.code,
         "fixed_code": pair.fixed.code,
-        "strategy": cfg.strategy,
-        "sigma": cfg.sigma,
-        "seed": seed,
+        "strategy": mask.strategy,
+        "sigma": mask.sigma,
+        "seed": mask.seed,
         "statements": statements,
         "token_k": None if mask.token_k is None else list(mask.token_k),
         "flags": sorted(mask.flags),
     }
 
 
-def build_records(pairs: list[RepairPair], config: MaskConfig | None = None,
-                  jobs: int = 1) -> list[dict]:
+def pair_to_record(pair: RepairPair, config: MaskConfig) -> dict:
+    """One corpus record: the pair plus its mask under ``config``."""
+    return mask_record(pair, *pair_mask(pair, config))
+
+
+def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> list[dict]:
     """Corpus records for ``pairs``, sorted by pair id."""
     config = config or MaskConfig()
-    ordered = sorted(pairs, key=lambda p: p.pair_id)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda p: pair_to_record(p, config), ordered))
-    return [pair_to_record(p, config) for p in ordered]
-
-
-def export_corpus(pairs: list[RepairPair], out_path: str | Path,
-                  config: MaskConfig | None = None, jobs: int = 1) -> int:
-    """Write one JSONL record per pair, sorted by pair id. Returns the count."""
-    records = build_records(pairs, config, jobs)
-    out = Path(out_path)
-    with out.open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-    return len(records)
+    return [pair_to_record(p, config) for p in sorted(pairs, key=lambda p: p.pair_id)]
 
 
 def corpus_stats(pairs: list[RepairPair]) -> dict:

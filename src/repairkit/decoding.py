@@ -25,7 +25,6 @@ from time import perf_counter
 from typing import Protocol, Sequence, runtime_checkable
 
 from .errors import BackendContractError, DegenerateInputError, LosslessnessError
-from .source import parse
 
 __all__ = [
     "BOUNDARY_TOKENS",
@@ -36,6 +35,7 @@ __all__ = [
     "DecodeStats",
     "DecodeResult",
     "DraftSource",
+    "repair_prompt",
     "chunk_token_ranges",
     "longest_matching_prefix",
     "draft_generate",
@@ -134,9 +134,14 @@ class DraftSource:
         toks = tuple(tokens)
         return cls(tokens=toks, chunks=chunk_token_ranges(toks))
 
-    @classmethod
-    def from_text(cls, text: str) -> "DraftSource":
-        return cls.from_tokens(parse(text).token_texts())
+
+def repair_prompt(buggy_tokens: Sequence[str],
+                  bug_type: str | None = None) -> list[str]:
+    """The decoding prompt ``<fix> [<bug:TYPE>] buggy tokens... <sep>``."""
+    head = ["<fix>"]
+    if bug_type:
+        head.append(f"<bug:{bug_type}>")
+    return head + list(buggy_tokens) + ["<sep>"]
 
 
 def longest_matching_prefix(a: Sequence[str], b: Sequence[str]) -> int:

@@ -26,7 +26,9 @@ from typing import Sequence
 
 from .diffs import AlignedDiff, align_statements, levenshtein
 from .errors import DegenerateInputError
-from .source import CodeFacts, SourceUnit, Statement, extract_facts, parse
+# extract_facts is unused here; perfbench's tracer wraps repairkit.mask.extract_facts
+from .source import (CodeFacts, SourceUnit, Statement, extract_facts, parse,
+                     same_block_statements)
 from .source import _TOKEN_RE  # reuse the lexer for token-granular distances
 
 __all__ = [
@@ -55,7 +57,6 @@ class MaskConfig:
     rng_seed: int = 0
     dist_granularity: str = "char"          # or "token"
     expansion_aggregation: str = "floor"    # max(1, sum) — or "cap": min(1, sum)
-    loss_level: str = "statement"           # or "token"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -66,8 +67,6 @@ class MaskConfig:
             raise ValueError(f"unknown granularity {self.dist_granularity!r}")
         if self.expansion_aggregation not in ("floor", "cap"):
             raise ValueError(f"unknown aggregation {self.expansion_aggregation!r}")
-        if self.loss_level not in ("statement", "token"):
-            raise ValueError(f"unknown loss level {self.loss_level!r}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,7 @@ def expansion_members(diff: AlignedDiff, facts: CodeFacts,
             lo, hi = facts.definitions[fn]
             members |= set(range(lo, hi + 1))
     for idx in touched:
-        stmt = unit.statements[idx]
-        members |= {s.index for s in unit.statements
-                    if s.block_id == stmt.block_id}
+        members |= {s.index for s in same_block_statements(unit, unit.statements[idx])}
     members |= set(diff.deletion_anchors.keys())
     return members - touched
 

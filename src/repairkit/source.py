@@ -26,7 +26,6 @@ __all__ = [
     "SourceUnit",
     "CodeFacts",
     "parse",
-    "segment_statements",
     "extract_facts",
     "same_block_statements",
 ]
@@ -460,10 +459,6 @@ def parse(text: str) -> SourceUnit:
         block_parent=dict(scanner.block_parent),
         degraded=scanner.degraded,
     )
-
-
-def segment_statements(text: str) -> list[Statement]:
-    return list(parse(text).statements)
 
 
 def _statement_token_texts(unit: SourceUnit) -> dict[int, list[str]]:

@@ -89,6 +89,23 @@ def test_mask_human_table(pair_files, capsys):
     assert out.count("k=") == len(parse(SUM_OK).statements)
 
 
+def test_mask_human_table_builds_one_mask(pair_files, capsys, monkeypatch):
+    # counting the alignments sees every mask build, whichever module holds
+    # a reference to build_mask
+    calls = []
+    align = repairkit.mask.align_statements
+
+    def counting_align(*args, **kwargs):
+        calls.append(1)
+        return align(*args, **kwargs)
+
+    monkeypatch.setattr(repairkit.mask, "align_statements", counting_align)
+    buggy, fixed = pair_files
+    code, _, _ = run_cli(["mask", str(buggy), str(fixed)], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_mask_out_file(pair_files, tmp_path, capsys):
     buggy, fixed = pair_files
     dest = tmp_path / "record.json"
@@ -222,6 +239,22 @@ def test_triage_without_meta(tmp_path, capsys):
     jsonschema.validate(payload, schema("triage_report.schema.json"))
     assert payload["bug_type"] is None
     assert payload["tests"] == []
+
+
+def test_triage_config_file_is_honoured(tmp_path, capsys):
+    src = tmp_path / "sub.c"
+    src.write_text(SUM_OK)
+    meta = write_problem_meta(tmp_path / "p1.json",
+                              tests=[{"in": "1 2\n", "expected": "3\n"}])
+    config = tmp_path / "executor.conf"
+    config.write_text("compiler_cmd = false {src} {out}\n")
+    argv = ["triage", str(src), "--meta", str(meta), "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["bug_type"] is None
+    code, out, _ = run_cli(argv + ["--config", str(config)], capsys)
+    assert code == 0
+    assert json.loads(out)["bug_type"] == "CE"
 
 
 def test_triage_prompt_requires_meta(tmp_path, capsys):

@@ -12,7 +12,6 @@ from repairkit.dataset import (
     Submission,
     build_records,
     corpus_stats,
-    export_corpus,
     filter_pairs,
     load_archive,
     pair_seed,
@@ -223,28 +222,6 @@ def test_records_sorted_and_deterministic():
     second = build_records(list(reversed(pairs)), config)
     assert [r["pair_id"] for r in first] == ["p1/s2/100", "p1/s9/100", "p2/s1/100"]
     assert first == second
-
-
-def test_parallel_records_match_serial():
-    pairs = [
-        _pair(SUM_WRONG_OP, SUM_OK, pid=f"p1/s{i}/100") for i in range(6)
-    ]
-    config = MaskConfig(rng_seed=5)
-    assert build_records(pairs, config, jobs=3) == build_records(pairs, config)
-
-
-def test_export_corpus_bytes_stable(tmp_path):
-    pairs = [
-        _pair(SUM_WRONG_OP, SUM_OK),
-        _pair(SUM_EXTRA_WS, SUM_OK, pid="p1/s2/100"),
-    ]
-    config = MaskConfig(rng_seed=42)
-    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert export_corpus(pairs, out1, config) == 2
-    assert export_corpus(pairs, out2, config) == 2
-    assert out1.read_bytes() == out2.read_bytes()
-    rec = json.loads(out1.read_text().splitlines()[0])
-    assert {"pair_id", "buggy_code", "fixed_code", "statements"} <= set(rec)
 
 
 def test_corpus_stats():

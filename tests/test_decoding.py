@@ -12,7 +12,7 @@ from repairkit.decoding import (CostModel, DecodeLimits, DecodeResult,
                                 aggregate_reports, ar_decode,
                                 chunk_token_ranges, compute_metrics,
                                 draft_generate, longest_matching_prefix,
-                                probe_backend)
+                                probe_backend, repair_prompt)
 from repairkit.errors import (BackendContractError, DegenerateInputError,
                               LosslessnessError)
 
@@ -186,7 +186,7 @@ def _random_case(seed):
     rng = random.Random(seed)
     vocab = [f"t{i}" for i in range(rng.randrange(4, 14))] + [";", "{", "}"]
     buggy = [rng.choice(vocab) for _ in range(rng.randrange(0, 40))]
-    prompt = ["<fix>"] + buggy + ["<sep>"]
+    prompt = repair_prompt(buggy)
     backend = SeededRandomBackend(rng.randrange(2**32), vocab)
     return backend, prompt, buggy
 

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repairkit.source import (ROOT_BLOCK, extract_facts, parse,
-                              same_block_statements, segment_statements)
+                              same_block_statements)
 
 from conftest import gen_program
 
 
 def texts(code):
-    return [s.text for s in segment_statements(code)]
+    return [s.text for s in parse(code).statements]
 
 
 def test_minimal_main():
