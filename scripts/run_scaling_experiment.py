@@ -18,17 +18,16 @@ import json
 import random
 import sys
 
-from repairkit.backends import TargetOracleBackend
+from repairkit.backends import make_repair_oracle
 from repairkit.decoding import (DecodeLimits, DraftSource, accelerated_decode,
-                                ar_decode, compute_metrics, repair_prompt)
+                                ar_decode, compute_metrics)
 from repairkit.synthetic import make_pair
 
 
 def run_cell(length: int, regions: int, seed: int) -> dict:
     pair = make_pair(length, regions, random.Random(seed))
-    prompt = repair_prompt(pair.buggy_tokens)
-    backend = TargetOracleBackend()
-    backend.script(prompt, list(pair.target_tokens))
+    backend = make_repair_oracle(pair.buggy_tokens, pair.target_tokens)
+    prompt = backend.prompt
     source = DraftSource.from_tokens(pair.buggy_tokens)
     limits = DecodeLimits(max_tokens=length + 8)
     ar = ar_decode(backend, prompt, limits.max_tokens)

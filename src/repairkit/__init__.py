@@ -8,8 +8,7 @@ fast by treating the buggy code as a draft that mostly survives.
 """
 
 from .backends import (EOS, NGramBackend, SeededRandomBackend,
-                       TargetOracleBackend, apply_token_edits,
-                       make_repair_oracle)
+                       TargetOracleBackend, make_repair_oracle)
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, pair_submissions)
 from .decoding import (BOUNDARY_TOKENS, CostModel, DecodeLimits, DecodeResult,
@@ -49,7 +48,7 @@ __all__ = [
     "draft_generate", "longest_matching_prefix", "probe_backend", "repair_prompt",
     # backends
     "EOS", "TargetOracleBackend", "NGramBackend", "SeededRandomBackend",
-    "apply_token_edits", "make_repair_oracle",
+    "make_repair_oracle",
     # dataset
     "Submission", "RepairPair", "load_archive", "pair_submissions",
     "filter_pairs", "build_records", "corpus_stats",

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decoding import chunk_token_ranges, repair_prompt
+from .decoding import repair_prompt
 from .errors import DegenerateInputError, RepairKitError
 from .source import parse
 
@@ -33,7 +33,6 @@ __all__ = [
     "NGramBackend",
     "SeededRandomBackend",
     "make_repair_oracle",
-    "apply_token_edits",
 ]
 
 EOS = "<eos>"
@@ -224,55 +223,14 @@ class SeededRandomBackend:
         return [vocab[p] for p in picks]
 
 
-def apply_token_edits(tokens: Sequence[str],
-                      edits: Sequence[tuple] | None) -> list[str]:
-    """Apply ('replace'|'insert'|'delete', chunk_index, [tokens]) edits.
-
-    Indices address statement chunks of the input stream; edits are applied
-    together against the original chunking.
-    """
-    toks = list(tokens)
-    if not edits:
-        return toks
-    chunks = chunk_token_ranges(toks)
-    by_index: dict[int, list[tuple]] = {}
-    for edit in edits:
-        op = edit[0]
-        idx = edit[1]
-        if op not in ("replace", "insert", "delete"):
-            raise ValueError(f"unknown edit op {op!r}")
-        if not 0 <= idx <= len(chunks) - (op != "insert"):
-            raise ValueError(f"edit index {idx} out of range")
-        by_index.setdefault(idx, []).append(edit)
-
-    out: list[str] = []
-    for i, (s, e) in enumerate(chunks):
-        chunk = toks[s:e]
-        for edit in by_index.get(i, []):
-            op = edit[0]
-            if op == "insert":
-                out.extend(edit[2])
-            elif op == "replace":
-                chunk = list(edit[2])
-            elif op == "delete":
-                chunk = []
-        out.extend(chunk)
-    for edit in by_index.get(len(chunks), []):
-        if edit[0] == "insert":
-            out.extend(edit[2])
-    return out
-
-
-def make_repair_oracle(buggy: Sequence[str], fixed: Sequence[str],
-                       noise: Sequence[tuple] | None = None,
-                       eos_token: str = EOS) -> TargetOracleBackend:
-    """Oracle scripted to emit the fixed tokens (optionally perturbed).
+def make_repair_oracle(buggy: Sequence[str],
+                       fixed: Sequence[str]) -> TargetOracleBackend:
+    """Oracle scripted to emit the fixed tokens.
 
     The canonical prompt is exposed as ``backend.prompt``.
     """
-    target = apply_token_edits(fixed, noise)
-    backend = TargetOracleBackend(eos_token)
+    backend = TargetOracleBackend()
     prompt = repair_prompt(buggy)
-    backend.script(prompt, target)
+    backend.script(prompt, fixed)
     backend.prompt = prompt
     return backend

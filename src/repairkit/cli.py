@@ -21,11 +21,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .backends import EOS, NGramBackend, SeededRandomBackend, TargetOracleBackend
+from .backends import (EOS, NGramBackend, SeededRandomBackend,
+                       TargetOracleBackend, make_repair_oracle)
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, mask_record, pair_mask,
                       pair_submissions)
-from .decoding import (CostModel, DecodeLimits, DecodeResult, DraftSource,
+from .decoding import (DecodeLimits, DecodeResult, DraftSource,
                        accelerated_decode, aggregate_reports, ar_decode,
                        compute_metrics, probe_backend, repair_prompt)
 from .errors import (BackendContractError, DegenerateInputError,
@@ -234,13 +235,12 @@ def cmd_repair(args: argparse.Namespace) -> int:
     if args.probe:
         probe_backend(backend, prompt)
     limits = DecodeLimits(max_tokens=args.max_tokens, fallback_run=args.fallback_run)
-    cost = CostModel()
 
     source = DraftSource.from_tokens(buggy_tokens)
     if args.mode == "ar":
-        result = ar_decode(backend, prompt, limits.max_tokens, cost)
+        result = ar_decode(backend, prompt, limits.max_tokens)
     else:
-        result = accelerated_decode(backend, prompt, source, limits, cost)
+        result = accelerated_decode(backend, prompt, source, limits)
 
     payload: dict = {
         "mode": args.mode,
@@ -249,8 +249,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
         "stats": _stats_dict(result),
     }
     if args.compare:
-        other = (accelerated_decode(backend, prompt, source, limits, cost)
-                 if args.mode == "ar" else ar_decode(backend, prompt, limits.max_tokens, cost))
+        other = (accelerated_decode(backend, prompt, source, limits)
+                 if args.mode == "ar" else ar_decode(backend, prompt, limits.max_tokens))
         ar_res, acc_res = (result, other) if args.mode == "ar" else (other, result)
         report = compute_metrics(ar_res, acc_res, time_source="sim")
         payload["metrics"] = report.as_dict()
@@ -310,24 +310,19 @@ def _bench_pairs(path: Path) -> list[tuple[str, str, str]]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    triples = _bench_pairs(Path(args.corpus))
-    if args.limit:
-        triples = triples[: args.limit]
+    triples = _bench_pairs(Path(args.corpus))[: args.limit]
     limits = DecodeLimits(max_tokens=args.max_tokens, fallback_run=args.fallback_run)
-    cost = CostModel()
     programs = []
     reports = []
     for pid, buggy_code, fixed_code in triples:
-        buggy_tokens = list(parse(buggy_code).token_texts())
-        fixed_tokens = list(parse(fixed_code).token_texts())
-        prompt = repair_prompt(buggy_tokens)
-        backend = TargetOracleBackend()
-        backend.script(prompt, fixed_tokens)
+        buggy_tokens = parse(buggy_code).token_texts()
+        backend = make_repair_oracle(buggy_tokens, parse(fixed_code).token_texts())
+        prompt = backend.prompt
         if args.probe:
             probe_backend(backend, prompt)
         source = DraftSource.from_tokens(buggy_tokens)
-        ar_res = ar_decode(backend, prompt, limits.max_tokens, cost)
-        acc_res = accelerated_decode(backend, prompt, source, limits, cost)
+        ar_res = ar_decode(backend, prompt, limits.max_tokens)
+        acc_res = accelerated_decode(backend, prompt, source, limits)
         report = compute_metrics(ar_res, acc_res, time_source=args.time)
         reports.append(report)
         programs.append({"id": pid, **report.as_dict()})
@@ -365,10 +360,21 @@ def _add_mask_options(p: argparse.ArgumentParser) -> None:
                    help="clamp for summed similarity: floor=max(1,s), cap=min(1,s)")
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low`` (else a usage error)."""
+    def int_(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    int_.__name__ = "int"  # argparse names the type in "invalid int value"
+    return int_
+
+
 def _add_decode_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-tokens", type=int, default=4192,
+    p.add_argument("--max-tokens", type=_int_at_least(1), default=4192,
                    help="hard cap on generated tokens (default 4192)")
-    p.add_argument("--fallback-run", type=int, default=5,
+    p.add_argument("--fallback-run", type=_int_at_least(0), default=5,
                    help="max plain autoregressive tokens per draft miss (default 5)")
     p.add_argument("--probe", action="store_true",
                    help="check backend determinism/causality before decoding")
@@ -438,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="corpus JSONL or directory of *.buggy.c/*.fixed.c")
     p.add_argument("--time", choices=("sim", "wall"), default="sim",
                    help="timing source for speedup (default: simulated cost)")
-    p.add_argument("--limit", type=int, help="bench only the first N pairs")
+    p.add_argument("--limit", type=_int_at_least(1), help="bench only the first N pairs")
     _add_decode_options(p)
     p.set_defaults(func=cmd_bench)
 

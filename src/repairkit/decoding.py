@@ -22,7 +22,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .errors import BackendContractError, DegenerateInputError, LosslessnessError
 
@@ -51,7 +51,6 @@ __all__ = [
 BOUNDARY_TOKENS = frozenset((";", "{", "}"))
 
 
-@runtime_checkable
 class ModelBackend(Protocol):
     eos_token: str
     concurrent_safe: bool
@@ -231,8 +230,7 @@ def _check_consistency(preds: Sequence[str], ctx: Sequence[str],
 def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
                        source: DraftSource | Sequence[str],
                        limits: DecodeLimits | None = None,
-                       cost_model: CostModel = DEFAULT_COST,
-                       trace: list | None = None) -> DecodeResult:
+                       cost_model: CostModel = DEFAULT_COST) -> DecodeResult:
     """Greedy decoding accelerated by the buggy-code draft.
 
     Output is bit-identical to :func:`ar_decode` with the same model,
@@ -243,86 +241,56 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     limits = limits or DecodeLimits()
     if not isinstance(source, DraftSource):
         source = DraftSource.from_tokens(source)
-    eos = model.eos_token
+    eos, cap = model.eos_token, limits.max_tokens
     ctx = list(prompt)
     out: list[str] = []
     stats = DecodeStats()
-    n_prompt = len(prompt)
     anchor = 0
-    finished = False
     t0 = perf_counter()
 
-    def emit(tok: str, bucket: str) -> bool:
-        """Append one token; True when decoding must stop."""
-        nonlocal finished
-        out.append(tok)
-        ctx.append(tok)
-        stats.tokens_emitted += 1
-        setattr(stats, bucket, getattr(stats, bucket) + 1)
-        if tok == eos:
-            finished = True
-            return True
-        return len(out) >= limits.max_tokens
-
-    while not finished and len(out) < limits.max_tokens:
+    while len(out) < cap and not (out and out[-1] == eos):
         draft, anchor = draft_generate(source, out, anchor)
-        if trace is not None:
-            trace.append({"anchor": anchor, "emitted": len(out)})
-
-        if not draft:
-            # Draft exhausted: plain greedy decoding for the remainder.
-            while True:
-                preds = model.forward(ctx)
-                _dyn_cost(stats, cost_model, len(ctx))
-                if emit(preds[-1], "ar_fallback_tokens"):
-                    break
-            break
-
-        # One forward pass verifies the whole draft against the context.
-        inp = ctx + draft
-        preds = model.forward(inp)
-        _dyn_cost(stats, cost_model, len(inp))
-        _check_consistency(preds, ctx, n_prompt)
-
-        base = len(ctx) - 1
-        cand = preds[base:base + len(draft)]
-        k = longest_matching_prefix(cand, draft)
-
-        stop = False
-        for j in range(k):
-            stop = emit(draft[j], "draft_accepted")
-            anchor += 1
-            if stop:
-                break
-        if stop:
-            break
-
-        # One correction token rides along with every verification pass:
-        # it is conditioned on the verified prefix, so it is free progress.
-        correction = cand[k] if k < len(draft) else preds[-1]
-        if emit(correction, "corrections"):
-            break
-
-        if correction in BOUNDARY_TOKENS:
-            continue  # statement closed; realign immediately
-
-        # Bridge the divergence with a few plain greedy tokens, stopping
-        # early at a statement boundary so realignment can kick in.
-        for _ in range(limits.fallback_run):
+        run = cap - len(out)
+        if draft:
+            # One forward pass verifies the whole draft against the context:
+            # cand[j] is the model's next token after ctx + draft[:j].
+            inp = ctx + draft
+            preds = model.forward(inp)
+            _dyn_cost(stats, cost_model, len(inp))
+            _check_consistency(preds, ctx, len(prompt))
+            cand = preds[len(ctx) - 1:]
+            k = longest_matching_prefix(cand, draft)
+            # The agreeing prefix plus one correction token: the correction
+            # is conditioned on the verified prefix, so it is free progress.
+            new = cand[:k + 1]
+            if eos in new:
+                new = new[:new.index(eos) + 1]
+            new = new[:run]
+            accepted = min(k, len(new))
+            stats.draft_accepted += accepted
+            stats.corrections += len(new) - accepted
+            anchor += accepted
+            out += new
+            ctx += new
+            if new[-1] == eos or new[-1] in BOUNDARY_TOKENS:
+                continue  # finished, or statement closed: realign immediately
+            run = min(run - len(new), limits.fallback_run)
+        # Plain greedy steps.  With a draft they bridge the divergence and
+        # stop early at a statement boundary so realignment can kick in;
+        # with the draft exhausted they decode the remainder.
+        for _ in range(run):
             preds = model.forward(ctx)
             _dyn_cost(stats, cost_model, len(ctx))
             tok = preds[-1]
-            if emit(tok, "ar_fallback_tokens"):
-                stop = True
+            out.append(tok)
+            ctx.append(tok)
+            stats.ar_fallback_tokens += 1
+            if tok == eos or (draft and tok in BOUNDARY_TOKENS):
                 break
-            if tok in BOUNDARY_TOKENS:
-                break
-        if stop:
-            break
 
+    stats.tokens_emitted = len(out)
     stats.wall_time = perf_counter() - t0
-    truncated = not (out and out[-1] == eos)
-    return DecodeResult(out, stats, truncated=truncated)
+    return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))
 
 
 def probe_backend(model: ModelBackend, sample: Sequence[str]) -> None:
@@ -338,8 +306,6 @@ def probe_backend(model: ModelBackend, sample: Sequence[str]) -> None:
     if model.forward(sample) != first:
         raise BackendContractError("backend is not deterministic")
     for cut in {1, len(sample) // 2, len(sample) - 1}:
-        if cut < 1:
-            continue
         if model.forward(sample[:cut]) != first[:cut]:
             raise BackendContractError(
                 f"prediction before position {cut} depends on later tokens"

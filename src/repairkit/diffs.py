@@ -190,7 +190,10 @@ def _align_pairs(a: list[str], b: list[str]) -> list[AlignPair]:
 
 
 def align_statements(buggy: SourceUnit | str, fixed: SourceUnit | str) -> AlignedDiff:
-    from .source import extract_facts  # local import to keep module load light
+    # Looked up at call time because perfbench's tracer wraps
+    # repairkit.source.extract_facts; a module-level binding here would
+    # bypass that wrap and drop source.facts_calls from traced corpus runs.
+    from .source import extract_facts
 
     if isinstance(buggy, str):
         buggy = parse(buggy)

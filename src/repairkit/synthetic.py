@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .decoding import BOUNDARY_TOKENS
+
 __all__ = [
     "SyntheticPair",
     "token_program",
@@ -83,7 +85,7 @@ def render_tokens(tokens: list[str] | tuple[str, ...]) -> str:
     cur: list[str] = []
     for tok in tokens:
         cur.append(tok)
-        if tok in (";", "{", "}"):
+        if tok in BOUNDARY_TOKENS:
             lines.append(" ".join(cur))
             cur = []
     if cur:

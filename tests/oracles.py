@@ -12,6 +12,11 @@ import sys
 import zlib
 from functools import lru_cache
 
+from repairkit import decoding
+from repairkit.decoding import (BOUNDARY_TOKENS, DEFAULT_COST, DecodeLimits,
+                                DecodeResult, DecodeStats, DraftSource)
+from repairkit.errors import BackendContractError
+
 
 def lev_ref(a: str, b: str) -> int:
     """Recursive memoized edit distance (the library uses a two-row table)."""
@@ -205,3 +210,81 @@ def led_ref(a: str, b: str) -> int:
         return 1 + min(go(i + 1, j), go(i, j + 1), go(i + 1, j + 1))
 
     return go(0, 0)
+
+
+def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
+                           cost_model=DEFAULT_COST) -> DecodeResult:
+    """Draft-accelerated decoding with one ``emit`` call per token.
+
+    Each token is appended on its own, bumps its own ``DecodeStats`` bucket
+    and checks both stop conditions (EOS, the cap); the exhausted-draft tail
+    and the fallback bridge are separate loops.  The library accepts a
+    verified slice at once and counts it afterwards.  Drafts come from
+    ``decoding.draft_generate``, looked up at call time like the library's.
+    """
+    source = DraftSource.from_tokens(buggy)
+    eos = model.eos_token
+    ctx = list(prompt)
+    out: list[str] = []
+    stats = DecodeStats()
+    anchor = 0
+    finished = False
+
+    def forward(tokens):
+        stats.forward_passes += 1
+        stats.sim_cost += cost_model.cost(len(tokens))
+        return model.forward(tokens)
+
+    def emit(tok: str, bucket: str) -> bool:
+        nonlocal finished
+        out.append(tok)
+        ctx.append(tok)
+        stats.tokens_emitted += 1
+        setattr(stats, bucket, getattr(stats, bucket) + 1)
+        if tok == eos:
+            finished = True
+            return True
+        return len(out) >= limits.max_tokens
+
+    while not finished and len(out) < limits.max_tokens:
+        draft, anchor = decoding.draft_generate(source, out, anchor)
+        if not draft:
+            while not emit(forward(ctx)[-1], "ar_fallback_tokens"):
+                pass
+            break
+
+        preds = forward(ctx + draft)
+        for i in range(max(len(prompt) - 1, 0), len(ctx) - 1):
+            if preds[i] != ctx[i + 1]:
+                raise BackendContractError(f"position {i + 1} re-predicted")
+        base = len(ctx) - 1
+        cand = preds[base:base + len(draft)]
+        k = 0
+        while k < len(draft) and cand[k] == draft[k]:
+            k += 1
+
+        stop = False
+        for j in range(k):
+            stop = emit(draft[j], "draft_accepted")
+            anchor += 1
+            if stop:
+                break
+        if stop:
+            break
+        correction = cand[k] if k < len(draft) else preds[-1]
+        if emit(correction, "corrections"):
+            break
+        if correction in BOUNDARY_TOKENS:
+            continue
+
+        for _ in range(limits.fallback_run):
+            tok = forward(ctx)[-1]
+            if emit(tok, "ar_fallback_tokens"):
+                stop = True
+                break
+            if tok in BOUNDARY_TOKENS:
+                break
+        if stop:
+            break
+
+    return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repairkit.backends import (EOS, NGramBackend, SeededRandomBackend,
-                                TargetOracleBackend, apply_token_edits,
-                                make_repair_oracle)
+                                TargetOracleBackend, make_repair_oracle)
 from repairkit.errors import RepairKitError
 
 from oracles import seeded_random_ref
@@ -61,21 +60,6 @@ def test_make_repair_oracle_wires_the_prompt():
     backend = make_repair_oracle(["a", ";"], ["b", ";"])
     assert backend.prompt == ["<fix>", "a", ";", "<sep>"]
     assert backend.forward(backend.prompt)[-1] == "b"
-
-
-def test_make_repair_oracle_applies_noise():
-    backend = make_repair_oracle(
-        ["a", ";", "b", ";"], ["a", ";", "b", ";"],
-        noise=[("replace", 1, ["z", ";"])])
-    ctx = list(backend.prompt)
-    out = []
-    while True:
-        tok = backend.forward(ctx)[-1]
-        if tok == EOS or len(out) > 10:
-            break
-        out.append(tok)
-        ctx.append(tok)
-    assert out == ["a", ";", "z", ";"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,32 +157,3 @@ def test_seeded_backend_emits_tokens_from_its_vocab():
     backend = SeededRandomBackend(3, v)
     preds = backend.forward(["x", "y", "x", "y", "x"])
     assert set(preds) <= set(v) | {EOS}
-
-
-# ---------------------------------------------------------------------------
-# token edits
-
-
-def test_apply_edits_replace_insert_delete():
-    toks = ["a", ";", "b", ";", "c", ";"]
-    out = apply_token_edits(toks, [
-        ("replace", 1, ["B", "!", ";"]),
-        ("delete", 2, None),
-        ("insert", 0, ["hdr", ";"]),
-    ])
-    assert out == ["hdr", ";", "a", ";", "B", "!", ";"]
-
-
-def test_apply_edits_at_the_end():
-    toks = ["a", ";"]
-    out = apply_token_edits(toks, [("insert", 1, ["z", ";"])])
-    assert out == ["a", ";", "z", ";"]
-
-
-def test_apply_edits_validation():
-    toks = ["a", ";"]
-    with pytest.raises(ValueError):
-        apply_token_edits(toks, [("frobnicate", 0, [])])
-    with pytest.raises(ValueError):
-        apply_token_edits(toks, [("delete", 5, None)])
-    assert apply_token_edits(toks, None) == toks

@@ -435,6 +435,34 @@ def test_bench_limit(bench_dir, capsys):
     assert len(json.loads(out)["programs"]) == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bench_limit_below_one_exits_2(bench_dir, capsys, value):
+    # --limit -1 used to slice off the last pair and --limit 0 to bench all
+    code, out, err = run_cli(["bench", str(bench_dir), "--limit", value, "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--limit: must be >= 1" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_tokens_below_one_is_a_usage_error(pair_files, capsys, value):
+    buggy, fixed = pair_files
+    code, out, err = run_cli(["repair", str(buggy), "--backend", "oracle",
+                              "--target", str(fixed), "--max-tokens", value], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--max-tokens: must be >= 1" in err
+
+
+def test_negative_fallback_run_is_a_usage_error(bench_dir, capsys):
+    code, out, err = run_cli(["bench", str(bench_dir), "--fallback-run", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--fallback-run: must be >= 0" in err
+    code, _, _ = run_cli(["bench", str(bench_dir), "--fallback-run", "0", "--json"], capsys)
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 

@@ -1,10 +1,12 @@
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repairkit import decoding
 from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
 from repairkit.decoding import (CostModel, DecodeLimits, DecodeResult,
@@ -15,6 +17,8 @@ from repairkit.decoding import (CostModel, DecodeLimits, DecodeResult,
                                 probe_backend, repair_prompt)
 from repairkit.errors import (BackendContractError, DegenerateInputError,
                               LosslessnessError)
+
+from oracles import accelerated_decode_ref
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +174,91 @@ def test_truncation_is_consistent_between_modes():
     assert len(fast.tokens) == 17
 
 
-def test_trace_records_anchor_progress():
-    buggy = ["a", ";", "b", ";"]
-    backend = make_repair_oracle(buggy, ["a", ";", "b", ";"])
-    trace = []
-    accelerated_decode(backend, backend.prompt, buggy, trace=trace)
-    assert trace and trace[0] == {"anchor": 0, "emitted": 0}
+# ---------------------------------------------------------------------------
+# accounting against the emit-per-token reference
+
+
+def _run_spied(decode, backend, prompt, buggy, limits):
+    """Decode, recording each draft_generate call as (emitted, anchor)."""
+    calls = []
+
+    def spy(source, emitted, anchor):
+        calls.append((len(emitted), anchor))
+        return real(source, emitted, anchor)
+
+    real = decoding.draft_generate
+    with mock.patch.object(decoding, "draft_generate", spy):
+        res = decode(backend, prompt, buggy, limits)
+    stats = asdict(res.stats)
+    del stats["wall_time"]
+    return res.tokens, res.truncated, stats, calls
+
+
+def _check_against_reference(backend, prompt, buggy, limits):
+    got = _run_spied(accelerated_decode, backend, prompt, buggy, limits)
+    want = _run_spied(accelerated_decode_ref, backend, prompt, buggy, limits)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize(
+    "buggy, target, max_tokens, fallback_run, expected",
+    [
+        # expected: (accepted, corrections, fallback tokens, passes, truncated)
+        (["a", ";", EOS, "b", ";"], ["a", ";"], 4192, 5, (3, 0, 0, 1, False)),
+        (["a", ";", "b", ";"], ["a", ";"], 4192, 5, (2, 1, 0, 1, False)),
+        (["a", ";", "b", ";"], ["a", ";", "b", ";"], 3, 5, (3, 0, 0, 1, True)),
+        (["a", ";", "b", ";"], ["a", ";", "c", ";"], 3, 5, (2, 1, 0, 1, True)),
+        (["a", ";"], ["a", ";", "b", "c", ";"], 4192, 5, (2, 1, 3, 4, False)),
+        (["a", "b", ";"], ["x", "y", ";"], 4192, 0, (0, 4, 0, 4, False)),
+    ],
+    ids=["eos-in-draft", "eos-correction", "cap-in-draft", "cap-on-correction",
+         "exhausted-draft", "no-fallback"],
+)
+def test_each_exit_matches_reference(buggy, target, max_tokens, fallback_run, expected):
+    backend = make_repair_oracle(buggy, target)
+    limits = DecodeLimits(max_tokens=max_tokens, fallback_run=fallback_run)
+    _, truncated, stats, _ = _check_against_reference(
+        backend, backend.prompt, buggy, limits)
+    assert (stats["draft_accepted"], stats["corrections"],
+            stats["ar_fallback_tokens"], stats["forward_passes"],
+            truncated) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**48))
+def test_accounting_matches_reference_on_random_models(seed):
+    # tiny vocabularies, so drafts are sometimes accepted, EOS sometimes
+    # sits inside an accepted draft, and every boundary token turns up
+    rng = random.Random(seed)
+    vocab = [f"t{i}" for i in range(rng.randrange(1, 4))] + [EOS, ";", "{", "}"]
+    buggy = [rng.choice(vocab) for _ in range(rng.randrange(0, 30))]
+    backend = SeededRandomBackend(rng.randrange(2**32), vocab)
+    limits = DecodeLimits(max_tokens=rng.randrange(1, 40),
+                          fallback_run=rng.randrange(0, 5))
+    _check_against_reference(backend, repair_prompt(buggy), buggy, limits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**48))
+def test_accounting_matches_reference_on_mostly_right_drafts(seed):
+    rng = random.Random(seed)
+    vocab = ["a", "b", "c", "=", ";", "{", "}"]
+    fixed = [rng.choice(vocab) for _ in range(rng.randrange(0, 40))]
+    buggy = list(fixed)
+    for _ in range(rng.randrange(0, 4)):
+        i = rng.randrange(len(buggy) + 1)
+        op = rng.choice(("replace", "insert", "delete"))
+        if op != "insert" and i < len(buggy):
+            del buggy[i]
+        if op != "delete":
+            buggy.insert(i, rng.choice(vocab))
+    if rng.random() < 0.3:
+        buggy.append(EOS)  # accepted inside the draft when the rest is right
+    backend = make_repair_oracle(buggy, fixed)
+    limits = DecodeLimits(max_tokens=rng.randrange(1, len(fixed) + 8),
+                          fallback_run=rng.randrange(0, 5))
+    _check_against_reference(backend, backend.prompt, buggy, limits)
 
 
 # ---------------------------------------------------------------------------
