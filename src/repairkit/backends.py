@@ -4,12 +4,17 @@ All three satisfy the backend contract (deterministic, causal, one forward
 pass returns a greedy prediction per position) without any neural model:
 
 * :class:`TargetOracleBackend` — plays back a scripted target sequence per
-  registered prompt; the workhorse for efficiency fixtures.
+  registered prompt; the workhorse for efficiency fixtures.  A pass is one
+  prompt match and one slice of a stored prediction stream.
 * :class:`NGramBackend` — order-n frequency model over a training corpus,
   ties broken by lowest token id.
 * :class:`SeededRandomBackend` — adversarial hash-driven predictions; every
   prefix deterministically maps to an arbitrary next token.  Used to stress
-  losslessness.
+  losslessness.  A pass hashes only the positions the previous pass did not
+  share with it.
+
+All of them keep ``forward(tokens)`` a pure function of ``tokens``: what
+they cache changes the cost of a pass, never its result.
 
 Tokens are plain strings so fixtures stay readable.
 """
@@ -21,9 +26,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .decoding import repair_prompt
+from .decoding import longest_matching_prefix, repair_prompt
 from .errors import DegenerateInputError, RepairKitError
 from .source import parse
 
@@ -40,50 +43,56 @@ TRAINING_PATTERNS = ("*.c", "*.txt")   # files NGramBackend.from_dir trains on
 
 
 class TargetOracleBackend:
-    """Predicts a scripted token sequence (then EOS forever) per prompt."""
+    """Predicts a scripted token sequence (then EOS forever) per prompt.
+
+    Each prompt is stored with its prediction stream, the prompt's own next
+    tokens followed by the target, so a forward pass is one prompt match and
+    one slice of that stream.
+    """
 
     concurrent_safe = True
 
     def __init__(self, eos_token: str = EOS):
         self.eos_token = eos_token
-        self._targets: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._scripts: dict[tuple[str, ...], tuple[list[str], list[str]]] = {}
+        # (prompt, stream) pairs in sorted prompt order, for the matcher
+        self._sorted: list[tuple[list[str], list[str]]] = []
 
     def script(self, prompt: Sequence[str], target: Sequence[str]) -> None:
         if not prompt:
             raise DegenerateInputError("prompt must be non-empty")
-        self._targets[tuple(prompt)] = tuple(target)
+        key = tuple(prompt)
+        self._scripts[key] = (list(key), list(key[1:]) + list(target))
+        self._sorted = [self._scripts[p] for p in sorted(self._scripts)]
 
-    def _match_prompt(self, tokens: Sequence[str]) -> tuple[str, ...]:
+    def _match_prompt(self, tokens: list[str]) -> list[str]:
+        """The prediction stream of the prompt that ``tokens`` matches."""
         # a context either contains a scripted prompt (normal decoding) or is
-        # a prefix of one (probing); complete matches take precedence
-        complete: tuple[str, ...] | None = None
-        partial: tuple[str, ...] | None = None
-        for prompt in sorted(self._targets):
-            if len(prompt) <= len(tokens):
-                if tuple(tokens[:len(prompt)]) == prompt:
-                    if complete is None or len(prompt) > len(complete):
-                        complete = prompt
-            elif prompt[:len(tokens)] == tuple(tokens):
-                if partial is None or len(prompt) > len(partial):
-                    partial = prompt
+        # a prefix of one (probing); complete matches take precedence, the
+        # longest match wins and sorted order breaks ties between partial ones
+        n = len(tokens)
+        complete: tuple[list[str], list[str]] | None = None
+        partial: tuple[list[str], list[str]] | None = None
+        for entry in self._sorted:
+            prompt = entry[0]
+            m = len(prompt)
+            if m <= n:
+                if (complete is None or m > len(complete[0])) and tokens[:m] == prompt:
+                    complete = entry
+            elif (partial is None or m > len(partial[0])) and prompt[:n] == tokens:
+                partial = entry
         best = complete if complete is not None else partial
         if best is None:
             raise RepairKitError("no scripted target matches this prompt")
-        return best
+        return best[1]
 
     def forward(self, tokens: Sequence[str]) -> list[str]:
-        prompt = self._match_prompt(tokens)
-        target = self._targets[prompt]
-        np_, nt = len(prompt), len(target)
-        preds: list[str] = []
-        for i in range(len(tokens)):
-            pos = i + 1 - np_
-            if pos < 0:
-                preds.append(prompt[i + 1])
-            elif pos < nt:
-                preds.append(target[pos])
-            else:
-                preds.append(self.eos_token)
+        if not isinstance(tokens, list):
+            tokens = list(tokens)
+        stream = self._match_prompt(tokens)
+        preds = stream[:len(tokens)]
+        if len(preds) < len(tokens):
+            preds += [self.eos_token] * (len(tokens) - len(preds))
         return preds
 
 
@@ -148,18 +157,15 @@ class NGramBackend:
         return self.eos_token
 
     def forward(self, tokens: Sequence[str]) -> list[str]:
-        return [self._predict_one(tokens[:i + 1]) for i in range(len(tokens))]
+        # _predict_one reads at most the last order - 1 tokens of its context
+        k = self.order - 1
+        return [self._predict_one(tokens[max(0, i + 1 - k):i + 1])
+                for i in range(len(tokens))]
 
 
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)   # odd, so invertible mod 2**64
-_HASH_MULT_INV = np.uint64(pow(0x9E3779B97F4A7C15, -1, 1 << 64))
-
-
-def _extend_powers(table: np.ndarray, mult: np.uint64, extra: int) -> np.ndarray:
-    """``table`` (``mult**k`` mod 2**64 for k < len) and the next ``extra``
-    powers; uint64 products wrap mod 2**64, which is the hash's arithmetic."""
-    steps = np.cumprod(np.full(extra, mult, dtype=np.uint64))
-    return np.concatenate((table, table[-1] * steps))
+_MASK64 = (1 << 64) - 1
+_HASH_MULT = 0x9E3779B97F4A7C15
+_MIX_MULT = 0xFF51AFD7ED558CCD
 
 
 class SeededRandomBackend:
@@ -167,6 +173,12 @@ class SeededRandomBackend:
 
     Deterministic and causal by construction, but with no structure a draft
     could exploit — the hardest case for lossless acceleration.
+
+    The prefix hash is a polynomial rolling hash mod 2**64, so a pass only
+    hashes the positions past the longest prefix it shares with the previous
+    pass, the way a KV cache serves a decoder's growing or rolled-back
+    context.  That cache is a tuple swapped in whole, never a list mutated in
+    place, so threads sharing one instance each see a consistent entry.
     """
 
     concurrent_safe = True
@@ -178,22 +190,9 @@ class SeededRandomBackend:
         self.vocab = tuple(vocab)
         self.eos_token = eos_token
         self._token_ids: dict[str, int] = {}
-        size = len(self.vocab)
-        self._powers = np.ones(1, dtype=np.uint64)
-        self._inv_powers = np.ones(1, dtype=np.uint64)
-        self._grow_tables(256)
-        self._seed64 = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        self._size = size
-
-    def _grow_tables(self, n: int) -> None:
-        # at least doubling keeps a context that grows a token per pass from
-        # extending the tables on every pass
-        have = len(self._powers)
-        if have >= n:
-            return
-        extra = max(n, 2 * have) - have
-        self._powers = _extend_powers(self._powers, _HASH_MULT, extra)
-        self._inv_powers = _extend_powers(self._inv_powers, _HASH_MULT_INV, extra)
+        self._seed64 = seed & _MASK64
+        # the last pass: (tokens, prefix hashes, predictions)
+        self._last: tuple[list[str], list[int], list[str]] = ([], [], [])
 
     def _token_id(self, token: str) -> int:
         tid = self._token_ids.get(token)
@@ -203,24 +202,29 @@ class SeededRandomBackend:
         return tid
 
     def forward(self, tokens: Sequence[str]) -> list[str]:
-        n = len(tokens)
-        if n == 0:
-            return []
-        self._grow_tables(n)
-        ids = np.fromiter(
-            (self._token_id(t) for t in tokens), dtype=np.uint64, count=n
-        )
-        with np.errstate(over="ignore"):
-            # prefix hash h_i = sum_j id_j * MULT**(i-j), vectorized via
-            # h_i = MULT**i * cumsum(id_j * MULT**-j)
-            weighted = (ids + self._seed64) * self._inv_powers[:n]
-            prefix = np.cumsum(weighted, dtype=np.uint64) * self._powers[:n]
-            mixed = prefix ^ (prefix >> np.uint64(33))
-            mixed = mixed * np.uint64(0xFF51AFD7ED558CCD)
-            mixed = mixed ^ (mixed >> np.uint64(29))
-        picks = (mixed % np.uint64(self._size)).tolist()
-        vocab = self.vocab
-        return [vocab[p] for p in picks]
+        # a copy: the cache must not see the caller's later appends
+        tokens = list(tokens)
+        last_tokens, last_hashes, last_preds = self._last
+        m = len(last_tokens)
+        if m <= len(tokens) and tokens[:m] == last_tokens:
+            k = m
+        else:
+            k = longest_matching_prefix(last_tokens, tokens)
+        hashes = last_hashes[:k]
+        preds = last_preds[:k]
+        h = hashes[-1] if k else 0
+        seed, vocab, size = self._seed64, self.vocab, len(self.vocab)
+        token_id = self._token_id
+        for tok in tokens[k:]:
+            # h_i = h_(i-1) * MULT + id_i + seed, then a murmur-style mix
+            h = (h * _HASH_MULT + token_id(tok) + seed) & _MASK64
+            x = h ^ (h >> 33)
+            x = (x * _MIX_MULT) & _MASK64
+            x ^= x >> 29
+            hashes.append(h)
+            preds.append(vocab[x % size])
+        self._last = (tokens, hashes, preds)
+        return preds[:]
 
 
 def make_repair_oracle(buggy: Sequence[str],

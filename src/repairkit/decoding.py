@@ -14,7 +14,8 @@ Backends expose one method: ``forward(tokens)`` returns, for every position
 ``i``, the greedy next token after ``tokens[:i+1]``.  They must be
 deterministic and causal; the verification pass re-checks previously
 emitted positions for free and aborts with ``BackendContractError`` when a
-backend drifts.
+backend drifts.  Both decoders also raise it for a pass that returns a
+different number of predictions than it was given tokens.
 """
 
 from __future__ import annotations
@@ -183,6 +184,16 @@ def draft_generate(source: DraftSource, emitted: Sequence[str],
     return list(tokens[anchor:]), anchor
 
 
+def _forward(model: ModelBackend, tokens: Sequence[str]) -> list[str]:
+    """``model.forward(tokens)``, held to one prediction per position."""
+    preds = model.forward(tokens)
+    if len(preds) != len(tokens):
+        raise BackendContractError(
+            f"forward returned {len(preds)} predictions for {len(tokens)} tokens"
+        )
+    return preds
+
+
 def _dyn_cost(stats: DecodeStats, model_cost: CostModel, n: int) -> None:
     stats.forward_passes += 1
     stats.sim_cost += model_cost.cost(n)
@@ -202,7 +213,7 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
     stats = DecodeStats()
     t0 = perf_counter()
     while len(out) < max_tokens:
-        preds = model.forward(ctx)
+        preds = _forward(model, ctx)
         _dyn_cost(stats, cost_model, len(ctx))
         tok = preds[-1]
         out.append(tok)
@@ -255,7 +266,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             # One forward pass verifies the whole draft against the context:
             # cand[j] is the model's next token after ctx + draft[:j].
             inp = ctx + draft
-            preds = model.forward(inp)
+            preds = _forward(model, inp)
             _dyn_cost(stats, cost_model, len(inp))
             _check_consistency(preds, ctx, len(prompt))
             cand = preds[len(ctx) - 1:]
@@ -279,7 +290,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
         # stop early at a statement boundary so realignment can kick in;
         # with the draft exhausted they decode the remainder.
         for _ in range(run):
-            preds = model.forward(ctx)
+            preds = _forward(model, ctx)
             _dyn_cost(stats, cost_model, len(ctx))
             tok = preds[-1]
             out.append(tok)
@@ -298,11 +309,7 @@ def probe_backend(model: ModelBackend, sample: Sequence[str]) -> None:
     sample = list(sample)
     if len(sample) < 2:
         raise ValueError("probe sample needs at least 2 tokens")
-    first = model.forward(sample)
-    if len(first) != len(sample):
-        raise BackendContractError(
-            f"forward returned {len(first)} predictions for {len(sample)} tokens"
-        )
+    first = _forward(model, sample)
     if model.forward(sample) != first:
         raise BackendContractError("backend is not deterministic")
     for cut in {1, len(sample) // 2, len(sample) - 1}:

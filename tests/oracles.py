@@ -15,7 +15,7 @@ from functools import lru_cache
 from repairkit import decoding
 from repairkit.decoding import (BOUNDARY_TOKENS, DEFAULT_COST, DecodeLimits,
                                 DecodeResult, DecodeStats, DraftSource)
-from repairkit.errors import BackendContractError
+from repairkit.errors import BackendContractError, RepairKitError
 
 
 def lev_ref(a: str, b: str) -> int:
@@ -157,8 +157,9 @@ def align_pairs_ref(a: list[str], b: list[str]) -> list[tuple]:
 def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[str]:
     """``SeededRandomBackend.forward`` as a scalar Horner loop over the prefix.
 
-    The library evaluates the same polynomial hash with precomputed power
-    tables and a vectorized cumulative sum; ``vocab`` must include EOS.
+    Every call hashes the whole context from scratch; the library hashes
+    only the positions past the prefix it shares with its previous pass.
+    ``vocab`` must include EOS.
     """
     mask = (1 << 64) - 1
     mult = 0x9E3779B97F4A7C15
@@ -171,6 +172,45 @@ def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[st
         x ^= x >> 29
         out.append(vocab[x % len(vocab)])
     return out
+
+
+def oracle_forward_ref(scripts: list[tuple[list[str], list[str]]], eos: str,
+                       tokens: list[str]) -> list[str]:
+    """``TargetOracleBackend.forward`` after ``script(p, t)`` for each pair.
+
+    The prompt matcher walks every prompt in sorted order and the predictions
+    are built one position at a time; the library slices a stored stream.
+    A later script of the same prompt replaces the earlier one.
+    """
+    targets = {tuple(p): tuple(t) for p, t in scripts}
+    complete = partial = None
+    for prompt in sorted(targets):
+        if len(prompt) <= len(tokens):
+            if tuple(tokens[:len(prompt)]) == prompt:
+                if complete is None or len(prompt) > len(complete):
+                    complete = prompt
+        elif prompt[:len(tokens)] == tuple(tokens):
+            if partial is None or len(prompt) > len(partial):
+                partial = prompt
+    prompt = complete if complete is not None else partial
+    if prompt is None:
+        raise RepairKitError("no scripted target matches this prompt")
+    target = targets[prompt]
+    preds = []
+    for i in range(len(tokens)):
+        pos = i + 1 - len(prompt)
+        if pos < 0:
+            preds.append(prompt[i + 1])
+        elif pos < len(target):
+            preds.append(target[pos])
+        else:
+            preds.append(eos)
+    return preds
+
+
+def ngram_forward_ref(model, tokens: list[str]) -> list[str]:
+    """``NGramBackend.forward`` handing each position its whole prefix."""
+    return [model._predict_one(tokens[:i + 1]) for i in range(len(tokens))]
 
 
 def normalize_ref(text: str) -> str:

@@ -1,12 +1,20 @@
+import os
+import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repairkit
 from repairkit.backends import (EOS, NGramBackend, SeededRandomBackend,
                                 TargetOracleBackend, make_repair_oracle)
 from repairkit.errors import RepairKitError
 
-from oracles import seeded_random_ref
+from oracles import ngram_forward_ref, oracle_forward_ref, seeded_random_ref
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +70,56 @@ def test_make_repair_oracle_wires_the_prompt():
     assert backend.forward(backend.prompt)[-1] == "b"
 
 
+def _outcome(forward, tokens):
+    try:
+        return forward(tokens)
+    except RepairKitError:
+        return "no match"
+
+
+_TOKS = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def _scripts(draw):
+    """1-3 (prompt, target) pairs; besides the first prompt, each other one is
+    its equal-length sibling (same tokens but the last), an extension of it,
+    a prefix of it or unrelated."""
+    base = draw(st.lists(_TOKS, min_size=1, max_size=4))
+    prompts = [base]
+    for kind in draw(st.lists(st.sampled_from(["sibling", "extend", "prefix", "any"]),
+                              max_size=2)):
+        if kind == "sibling":
+            prompts.append(base[:-1] + [draw(_TOKS)])
+        elif kind == "extend":
+            prompts.append(base + draw(st.lists(_TOKS, min_size=1, max_size=3)))
+        elif kind == "prefix":
+            prompts.append(base[:draw(st.integers(1, len(base)))])
+        else:
+            prompts.append(draw(st.lists(_TOKS, min_size=1, max_size=5)))
+    targets = st.lists(st.sampled_from(["x", "y", "a", EOS]), max_size=4)
+    return [(p, draw(targets)) for p in prompts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scripts(), st.lists(_TOKS, max_size=4))
+@example([(["p", "b"], ["x"]), (["p", "a"], ["y"])], [])     # tie: sorted order
+@example([(["p"], ["x"]), (["p", "q", "r"], ["y"])], ["z"])  # complete beats partial
+def test_oracle_matches_the_reference(scripts, tail):
+    backend = TargetOracleBackend()
+    for prompt, target in scripts:
+        backend.script(prompt, target)
+    contexts = [tail]
+    for prompt, _ in scripts:
+        contexts += [prompt[:n] for n in range(1, len(prompt) + 1)]
+        contexts.append(prompt + tail)
+        contexts.append(prompt + ["y"] + tail)
+    for ctx in contexts:
+        assert _outcome(backend.forward, ctx) == \
+            _outcome(lambda t: oracle_forward_ref(scripts, EOS, t), ctx)
+    assert _outcome(backend.forward, ["z"] + tail) == "no match"
+
+
 # ---------------------------------------------------------------------------
 # ngram model
 
@@ -101,6 +159,20 @@ def test_ngram_from_dir_requires_files(tmp_path):
     (tmp_path / "t.c").write_text("a = 1;")
     model = NGramBackend.from_dir(tmp_path)
     assert model.forward(["a", "="])[-1] == "1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8),
+                max_size=4),
+       st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=12))
+def test_ngram_matches_the_whole_prefix_reference(order, docs, tokens):
+    # a 4-token alphabet over short documents makes count ties common
+    model = NGramBackend(order=order)
+    for doc in docs:
+        model.add_document(doc)
+    model.freeze_vocab()
+    assert model.forward(tokens) == ngram_forward_ref(model, tokens)
 
 
 def test_ngram_is_deterministic_across_instances():
@@ -157,3 +229,94 @@ def test_seeded_backend_emits_tokens_from_its_vocab():
     backend = SeededRandomBackend(3, v)
     preds = backend.forward(["x", "y", "x", "y", "x"])
     assert set(preds) <= set(v) | {EOS}
+
+
+_WALK_VOCAB = ["a", "b", "c", ";", "{", "}"]
+_WALK_STEP = st.tuples(st.sampled_from(["one", "draft", "truncate", "branch"]),
+                       st.integers(0, 1 << 20),
+                       st.lists(st.sampled_from(_WALK_VOCAB), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(1 << 63), (1 << 64) - 1),
+       st.lists(st.sampled_from(_WALK_VOCAB), min_size=1, max_size=10),
+       st.lists(_WALK_STEP, max_size=25))
+def test_seeded_backend_cache_follows_a_decoding_walk(seed, start, steps):
+    # one context list, changed in place between passes as the decoders do:
+    # grow by a token, grow by a draft, drop a rejected tail, or branch
+    backend = SeededRandomBackend(seed, _WALK_VOCAB)
+    vocab = list(backend.vocab)
+    ctx = list(start)
+    assert backend.forward(ctx) == seeded_random_ref(seed, vocab, ctx)
+    for op, r, toks in steps:
+        if op == "one":
+            ctx.append(toks[0] if toks else "a")
+        elif op == "draft":
+            ctx += toks
+        elif op == "truncate":
+            del ctx[r % (len(ctx) + 1):]
+        else:
+            del ctx[r % (len(ctx) + 1):]
+            ctx += toks
+        assert backend.forward(ctx) == seeded_random_ref(seed, vocab, ctx)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_repair_oracle(["a", ";"], ["b", ";"]),
+    lambda: SeededRandomBackend(4, ["a", "b", ";"]),
+    lambda: NGramBackend.from_texts(["a = 1; b = 2;"]),
+], ids=["oracle", "random", "ngram"])
+def test_mutating_a_result_leaves_later_passes_alone(make):
+    backend = make()
+    toks = ["<fix>", "a", ";", "<sep>", "b"]
+    first = backend.forward(toks)
+    want = list(first)
+    first[:] = ["junk"] * (len(first) + 1)
+    assert backend.forward(toks) == want
+    assert backend.forward(toks + [";"])[:len(toks)] == want
+
+
+_THREAD_PASSES = 1000
+
+
+def test_seeded_backend_shared_by_threads_matches_the_reference():
+    backend = SeededRandomBackend(5, _WALK_VOCAB)
+    vocab = list(backend.vocab)
+    passes, errors = [], []
+
+    def walk(t: int) -> None:
+        rng = random.Random(t)
+        ctx = [rng.choice(_WALK_VOCAB) for _ in range(rng.randrange(1, 20))]
+        try:
+            for _ in range(_THREAD_PASSES):
+                if rng.random() < 0.3:
+                    del ctx[rng.randrange(len(ctx) // 2, len(ctx) + 1):]
+                ctx += rng.choices(_WALK_VOCAB, k=rng.randrange(1, 6))
+                if backend.forward(ctx) != seeded_random_ref(5, vocab, ctx):
+                    errors.append((t, list(ctx)))
+                passes.append(t)
+        except Exception as exc:  # reported below with the thread that raised it
+            errors.append((t, exc))
+
+    threads = [threading.Thread(target=walk, args=(t,)) for t in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(passes) == 4 * _THREAD_PASSES
+
+
+def test_importing_repairkit_does_not_import_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(repairkit.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repairkit; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -335,6 +335,34 @@ class _WrongLengthBackend:
         return [EOS]
 
 
+class _OffByBackend:
+    """An honest oracle whose passes return ``delta`` predictions too many."""
+
+    eos_token = EOS
+
+    def __init__(self, prompt, target, delta):
+        self._oracle = TargetOracleBackend()
+        self._oracle.script(prompt, target)
+        self.delta = delta
+
+    def forward(self, tokens):
+        preds = self._oracle.forward(tokens) + [EOS] * max(self.delta, 0)
+        return preds[:len(tokens) + self.delta]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("decode", ["ar", "fast"])
+def test_decoders_reject_a_pass_of_the_wrong_length(decode, delta):
+    buggy = ["a", "=", "1", ";", "b", "=", "2", ";"]
+    prompt = repair_prompt(buggy)
+    backend = _OffByBackend(prompt, ["a", "=", "3", ";", "b", "=", "2", ";"], delta)
+    with pytest.raises(BackendContractError, match="predictions for"):
+        if decode == "ar":
+            ar_decode(backend, prompt, max_tokens=6)
+        else:
+            accelerated_decode(backend, prompt, buggy, DecodeLimits(max_tokens=6))
+
+
 def test_probe_accepts_an_honest_backend():
     backend = SeededRandomBackend(7, ["a", "b", ";"])
     probe_backend(backend, ["a", "b", ";", "a"])
