@@ -83,7 +83,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
         buggy=Submission(pid, "cli", "0", "WRONG", buggy_code),
         fixed=Submission(pid, "cli", "1", "OK", fixed_code),
     )
-    fixed_unit, mask = pair_mask(pair, _mask_config(args))
+    _, fixed_unit, mask = pair_mask(pair, _mask_config(args))
     record = mask_record(pair, fixed_unit, mask)
 
     if args.json or args.out:
@@ -121,7 +121,7 @@ def cmd_dataset(args: argparse.Namespace) -> int:
         raise DegenerateInputError("no repair pairs survive pairing and filtering")
     records = build_records(kept, _mask_config(args))
 
-    stats = corpus_stats(kept)
+    stats = corpus_stats(kept, records.buggy_tokens)
     stats["dropped_restructuring"] = dropped
     if args.stats:
         Path(args.stats).write_text(_dump(stats))

@@ -15,6 +15,7 @@ import logging
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 from zlib import crc32
 
 from .diffs import line_edit_distance
@@ -33,6 +34,7 @@ __all__ = [
     "pair_mask",
     "mask_record",
     "pair_to_record",
+    "Records",
     "build_records",
     "corpus_stats",
 ]
@@ -83,6 +85,8 @@ def _load_jsonl(path: Path) -> list[Submission]:
             continue
         try:
             rec = json.loads(raw)
+            if not isinstance(rec["code"], str):
+                raise TypeError(f"code must be a string, got {type(rec['code']).__name__}")
             subs.append(Submission(
                 problem_id=str(rec["problem_id"]),
                 student_id=str(rec["student_id"]),
@@ -176,8 +180,9 @@ def pair_seed(global_seed: int, pair_id: str) -> int:
     return global_seed ^ crc32(pair_id.encode())
 
 
-def pair_mask(pair: RepairPair, config: MaskConfig) -> tuple[SourceUnit, MaskVector]:
-    """The parsed fixed side of ``pair`` and its mask under ``config``.
+def pair_mask(pair: RepairPair,
+              config: MaskConfig) -> tuple[SourceUnit, SourceUnit, MaskVector]:
+    """The parsed buggy and fixed sides of ``pair`` and its mask under ``config``.
 
     The mask's seed is derived from the config seed and the pair id so a
     corpus is reproducible record-by-record.
@@ -185,7 +190,7 @@ def pair_mask(pair: RepairPair, config: MaskConfig) -> tuple[SourceUnit, MaskVec
     cfg = replace(config, rng_seed=pair_seed(config.rng_seed, pair.pair_id))
     buggy_unit = parse(pair.buggy.code)
     fixed_unit = parse(pair.fixed.code)
-    return fixed_unit, build_mask(buggy_unit, fixed_unit, cfg)
+    return buggy_unit, fixed_unit, build_mask(buggy_unit, fixed_unit, cfg)
 
 
 def mask_record(pair: RepairPair, fixed_unit: SourceUnit, mask: MaskVector) -> dict:
@@ -213,21 +218,50 @@ def mask_record(pair: RepairPair, fixed_unit: SourceUnit, mask: MaskVector) -> d
 
 def pair_to_record(pair: RepairPair, config: MaskConfig) -> dict:
     """One corpus record: the pair plus its mask under ``config``."""
-    return mask_record(pair, *pair_mask(pair, config))
+    _, fixed_unit, mask = pair_mask(pair, config)
+    return mask_record(pair, fixed_unit, mask)
 
 
-def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> list[dict]:
+class Records(list):
+    """The corpus records of :func:`build_records`, a plain list of dicts.
+
+    ``buggy_tokens`` holds the code-token count of each record's buggy file,
+    in record order, taken from the parse the mask build already made, so
+    :func:`corpus_stats` need not parse the buggy files again.
+    """
+
+    def __init__(self, records: list[dict], buggy_tokens: list[int]):
+        super().__init__(records)
+        self.buggy_tokens = tuple(buggy_tokens)
+
+
+def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> Records:
     """Corpus records for ``pairs``, sorted by pair id."""
     config = config or MaskConfig()
-    return [pair_to_record(p, config) for p in sorted(pairs, key=lambda p: p.pair_id)]
+    records, buggy_tokens = [], []
+    for pair in sorted(pairs, key=lambda p: p.pair_id):
+        buggy_unit, fixed_unit, mask = pair_mask(pair, config)
+        records.append(mask_record(pair, fixed_unit, mask))
+        buggy_tokens.append(len(buggy_unit.code_tokens()))
+    return Records(records, buggy_tokens)
 
 
-def corpus_stats(pairs: list[RepairPair]) -> dict:
-    """Summary numbers for a paired corpus (buggy side)."""
+def corpus_stats(pairs: list[RepairPair],
+                 buggy_tokens: Sequence[int] | None = None) -> dict:
+    """Summary numbers for a paired corpus (buggy side).
+
+    ``buggy_tokens`` is the code-token count of each pair's buggy file, in
+    any order (the statistics do not depend on it); pass
+    ``build_records(pairs).buggy_tokens`` to reuse the parses of the corpus
+    build.  When it is None every buggy file is parsed here.
+    """
     if not pairs:
         return {"pairs": 0}
     lines = [len(p.buggy.code.splitlines()) for p in pairs]
-    tokens = [len(parse(p.buggy.code).code_tokens()) for p in pairs]
+    if buggy_tokens is None:
+        buggy_tokens = [len(parse(p.buggy.code).code_tokens()) for p in pairs]
+    elif len(buggy_tokens) != len(pairs):
+        raise ValueError(f"{len(buggy_tokens)} token counts for {len(pairs)} pairs")
     verdicts: dict[str, int] = {}
     for p in pairs:
         verdicts[p.buggy.verdict] = verdicts.get(p.buggy.verdict, 0) + 1
@@ -237,7 +271,7 @@ def corpus_stats(pairs: list[RepairPair]) -> dict:
         "students": len({(p.problem_id, p.student_id) for p in pairs}),
         "avg_lines": statistics.fmean(lines),
         "median_lines": statistics.median(lines),
-        "avg_tokens": statistics.fmean(tokens),
-        "median_tokens": statistics.median(tokens),
+        "avg_tokens": statistics.fmean(buggy_tokens),
+        "median_tokens": statistics.median(buggy_tokens),
         "verdicts": dict(sorted(verdicts.items())),
     }

@@ -26,15 +26,22 @@ the shortcuts below return exactly the pairs it would:
   in the traceback, than the cell's value) by more than 1e-9.  Such a
   diagonal can change neither a min nor a tie test at 1e-12.
 
-``levenshtein`` likewise trims equal ends before its DP, which for unit
-costs never changes the distance.
+``levenshtein`` is the exact unit-cost edit distance, computed with the
+bit-parallel kernel of Myers (JACM 1999) in the global-distance form given
+by Hyyro (2001).  Equal ends are trimmed first, which for unit costs never
+changes the distance.  The shorter middle becomes the pattern: each of its
+symbols maps to a bit mask of the positions where it occurs, and one
+column of the DP table is carried as two vectors of vertical differences
+in Python ints.  Each element of the longer side then costs about fifteen
+integer operations on ints of the pattern's length, instead of a pass over
+the pattern.  Elements are looked up in those masks, so they must be
+hashable: the characters of a string, tokens or lines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .source import CodeFacts, SourceUnit, parse
@@ -49,10 +56,15 @@ __all__ = [
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Edit distance (insert/delete/substitute, unit costs) between sequences."""
+    """Edit distance (insert/delete/substitute, unit costs) between sequences.
+
+    ``a`` and ``b`` are strings or sequences of hashable elements (tokens,
+    lines).  The distance is exact; see the module docstring for the
+    bit-parallel kernel.
+    """
     if a == b:
         return 0
-    # equal ends never need an edit: run the DP on the differing middle only
+    # equal ends never need an edit: run the kernel on the differing middle only
     lo, end_a, end_b = 0, len(a), len(b)
     while lo < end_a and lo < end_b and a[lo] == b[lo]:
         lo += 1
@@ -64,26 +76,40 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
         a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        for j, y in enumerate(b, 1):
-            append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
-
-
-@lru_cache(maxsize=65536)
-def _cached_char_distance(a: str, b: str) -> int:
-    return levenshtein(a, b)
+    # bit i of peq[y] is set where b[i] == y; b is the pattern, a the text
+    peq: dict = {}
+    bit = 1
+    for y in b:
+        peq[y] = peq.get(y, 0) | bit
+        bit <<= 1
+    mask = bit - 1                 # one bit per pattern position
+    last = bit >> 1                # the row of the full pattern
+    # pv/mv: positions where the column grows/shrinks by one going down;
+    # the first column is 0, 1, 2, ... so every step grows.
+    pv, mv, dist = mask, 0, len(b)
+    get = peq.get
+    for x in a:
+        eq = get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)       # bits past the pattern are cut after the shift
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of the table is 0, 1, 2, ...: its horizontal step is +1
+        ph = ((ph << 1) | 1) & mask
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def _substitution_cost(a: str, b: str) -> float:
     if a == b:
         return 0.0
     denom = max(len(a), len(b), 1)
-    return _cached_char_distance(a, b) / denom
+    return levenshtein(a, b) / denom
 
 
 @dataclass(frozen=True)

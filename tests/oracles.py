@@ -53,6 +53,21 @@ def lev_tokens_ref(a: list[str], b: list[str]) -> int:
     return go(0, 0)
 
 
+def lev_table_ref(a, b) -> int:
+    """Unit-cost edit distance over any two sequences, by the two-row table.
+
+    No equal-ends trim and no bit vectors; iterative, so it checks the
+    library's kernel on inputs too long for the recursive references.
+    """
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
 def sim_ref(dist: float) -> float:
     # direct transcription: 1 / (1 + log d + 1), log natural, d=0 -> 1
     if dist == 0:

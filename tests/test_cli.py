@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,44 @@ def test_dataset_corpus_to_stdout(archive, capsys):
     assert code == 0
     assert len(out.splitlines()) == 2
     assert "2 records, 0 dropped" in err
+
+
+def test_dataset_stats_parse_each_file_once(archive, tmp_path, capsys, monkeypatch):
+    # the buggy token counts come from the parse the mask build makes
+    calls = []
+    real_parse = repairkit.dataset.parse
+
+    def counting_parse(code, *args, **kwargs):
+        calls.append(code)
+        return real_parse(code, *args, **kwargs)
+
+    monkeypatch.setattr(repairkit.dataset, "parse", counting_parse)
+    out_file, stats_file = tmp_path / "corpus.jsonl", tmp_path / "stats.json"
+    code, _, _ = run_cli(["dataset", str(archive), "--out", str(out_file),
+                          "--stats", str(stats_file)], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert len(calls) == 2 * len(records)
+
+    stats = json.loads(stats_file.read_text())
+    tokens = [len(parse(r["buggy_code"]).code_tokens()) for r in records]
+    assert stats["avg_tokens"] == statistics.fmean(tokens)
+    assert stats["median_tokens"] == statistics.median(tokens)
+
+
+@pytest.mark.parametrize("code", [None, 5], ids=["null", "number"])
+def test_dataset_rejects_non_string_code(tmp_path, capsys, code):
+    # a later accepted attempt pairs with it, so nothing stops before the code is used
+    archive = tmp_path / "subs.jsonl"
+    archive.write_text("".join(
+        json.dumps({"problem_id": "p1", "student_id": "s1", "timestamp": ts,
+                    "verdict": verdict, "code": c}) + "\n"
+        for ts, verdict, c in [("1", "WA", code), ("2", "OK", SUM_OK)]))
+    exit_code, out, err = run_cli(["dataset", str(archive)], capsys)
+    assert exit_code == 1
+    assert out == ""
+    assert f"{archive}:1: bad submission record" in err
+    assert "Traceback" not in err
 
 
 def test_dataset_without_pairs_exits_2(tmp_path, capsys):

@@ -236,3 +236,16 @@ def test_corpus_stats():
     assert stats["avg_lines"] == pytest.approx(7.0)
     assert stats["verdicts"] == {"WA": 2}
     assert corpus_stats([]) == {"pairs": 0}
+
+
+def test_corpus_stats_takes_given_token_counts():
+    pairs = [
+        _pair(SUM_WRONG_OP, SUM_OK),
+        _pair(SUM_EXTRA_WS, SUM_OK, pid="p2/s2/100"),
+    ]
+    records = build_records(pairs)
+    assert corpus_stats(pairs, records.buggy_tokens) == corpus_stats(pairs)
+    stats = corpus_stats(pairs, [10, 30])
+    assert (stats["avg_tokens"], stats["median_tokens"]) == (20.0, 20.0)
+    with pytest.raises(ValueError):
+        corpus_stats(pairs, [10])

@@ -8,7 +8,8 @@ from repairkit.diffs import align_statements, levenshtein, line_edit_distance
 from repairkit.source import extract_facts, parse
 
 from conftest import gen_program, perturb_program
-from oracles import align_cost_ref, align_pairs_ref, led_ref, lev_ref, lev_tokens_ref
+from oracles import (align_cost_ref, align_pairs_ref, led_ref, lev_ref, lev_table_ref,
+                     lev_tokens_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,93 @@ def test_levenshtein_frozen_examples():
     assert levenshtein("", "abc") == 3
     assert levenshtein("abc", "abc") == 0
     assert levenshtein("a+b", "a-b") == 1
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel kernel against the two-row table, on inputs long enough
+# (up to 300 elements) to cross the 64- and 128-bit word boundaries
+
+ALPHABETS = {2: "ab", 5: "abcde", 30: "abcdefghijklmnopqrstuvwxyz0123"}
+C_TOKENS = ["int", "x", "y", "i", "=", "+", "<", ";", "(", ")", "{", "}", "0", "1", "return"]
+C_LINES = ["int x = 0;", "x = x + 1;", "if (x < n) {", "}", "return 0;",
+           "while (i < n) {", "i = i + 1;", "printf(\"%d\\n\", x);", "", "// note"]
+
+
+@st.composite
+def sequence_pairs(draw, elements):
+    """Two lists of 0-300 elements: unrelated, or the second a few edits
+    away from the first so that trimming equal ends matters.
+
+    Lengths are drawn first: left to itself hypothesis keeps lists short.
+    """
+    def sized():
+        n = draw(st.integers(0, 300))
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    a = sized()
+    if draw(st.booleans()):
+        return a, sized()
+    b = list(a)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(b)))
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if op == "insert":
+            b.insert(i, draw(elements))
+        elif i < len(b):
+            if op == "delete":
+                del b[i]
+            else:
+                b[i] = draw(elements)
+    return a, b
+
+
+@pytest.mark.parametrize("size", sorted(ALPHABETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_levenshtein_matches_table_on_long_strings(size, data):
+    a, b = data.draw(sequence_pairs(st.sampled_from(ALPHABETS[size])))
+    a, b = "".join(a), "".join(b)
+    assert levenshtein(a, b) == lev_table_ref(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequence_pairs(st.sampled_from(C_TOKENS)))
+def test_levenshtein_matches_table_on_long_token_lists(pair):
+    a, b = pair
+    assert levenshtein(a, b) == lev_table_ref(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequence_pairs(st.sampled_from(C_LINES + ["  " + ln for ln in C_LINES])))
+def test_line_edit_distance_matches_table(pair):
+    buggy, fixed = "\n".join(pair[0]), "\n".join(pair[1])
+    a = [ln.strip() for ln in buggy.splitlines()]
+    b = [ln.strip() for ln in fixed.splitlines()]
+    assert line_edit_distance(buggy, fixed) == levenshtein(a, b) == lev_table_ref(a, b)
+
+
+@pytest.mark.parametrize("shorter", [1, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("extra", [0, 1, 70])
+def test_levenshtein_at_word_boundaries(shorter, extra):
+    # distinct first and last symbols keep the trim from shortening either side
+    rnd = random.Random(shorter * 1000 + extra)
+    for alphabet in ALPHABETS.values():
+        def framed(first: str, last: str, n: int) -> str:
+            body = "".join(rnd.choice(alphabet) for _ in range(n - 2))
+            return (first + body + last)[:n]
+
+        a, b = framed("[", "]", shorter + extra), framed("<", ">", shorter)
+        assert len(b) == shorter
+        assert levenshtein(a, b) == levenshtein(b, a) == lev_table_ref(a, b)
+
+
+@pytest.mark.parametrize("middle", [1, 64, 65, 200])
+def test_levenshtein_when_the_trim_empties_one_side(middle):
+    prefix, suffix = "int x = 0;" * 7, "return 0;" * 8
+    inserted = ("ab" * middle)[:middle]
+    a, b = prefix + suffix, prefix + inserted + suffix
+    assert levenshtein(a, b) == levenshtein(b, a) == lev_table_ref(a, b) == middle
+    assert levenshtein(list(a), list(b)) == middle
 
 
 # ---------------------------------------------------------------------------
