@@ -29,6 +29,7 @@ from repairkit import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MAX_LED = 10
+PROBLEMS = 3
 
 
 def _dataset(argv: list[str]) -> bytes:
@@ -41,13 +42,13 @@ def _dataset(argv: list[str]) -> bytes:
     return buf.getvalue().encode()
 
 
-def seed_digest(gen, seed: int, problems: int, work: Path) -> str:
+def seed_digest(gen, seed: int, work: Path) -> str:
     """sha256 over the outputs of both dataset runs on one seed's archive.
 
     Runs inside ``work`` with relative paths, so the human summary that
     names the corpus file is the same wherever ``work`` is.
     """
-    gen.make_archive(seed, 0, problems).write(work / "archive")
+    gen.make_archive(seed, 0, PROBLEMS).write(work / "archive")
     common = ["archive", "--out", "corpus.jsonl", "--max-led", str(MAX_LED),
               "--seed", str(seed)]
     h = hashlib.sha256()
@@ -67,8 +68,6 @@ def seed_digest(gen, seed: int, problems: int, work: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=16, help="digest seeds 1..N (default 16)")
-    ap.add_argument("--problems", type=int, default=3,
-                    help="problems per generated archive (default 3)")
     args = ap.parse_args(argv)
 
     # import the generator without leaving bytecode in the benchmark's tree
@@ -78,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for seed in range(1, args.seeds + 1):
         with tempfile.TemporaryDirectory() as tmp:
-            print(f"seed {seed}: {seed_digest(gen, seed, args.problems, Path(tmp))}")
+            print(f"seed {seed}: {seed_digest(gen, seed, Path(tmp))}")
     return 0
 
 
