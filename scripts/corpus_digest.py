@@ -7,9 +7,12 @@ For each seed S in 1..N the script builds perfbench's generated archive
     repairkit dataset ARCHIVE --out corpus.jsonl --stats stats.json --max-led 10 --seed S
     repairkit dataset ARCHIVE --out corpus.jsonl --json --max-led 10 --seed S
 
-The digest covers both runs' stdout, corpora and the stats file, so two
-checkouts that print the same digests build byte-identical corpora and
-statistics on these archives:
+and then, so that every mask path is covered, the first command again with
+each of the fixed option sets in ``VARIANTS``: ``--strategy M1``, ``M2`` and
+``M3``, and ``--granularity token`` under each ``--aggregation``.  The digest
+covers every run's stdout, corpus and stats file, so two checkouts that print
+the same digests build byte-identical corpora and statistics on these
+archives:
 
     PYTHONPATH=src python3 scripts/corpus_digest.py --seeds 16
 """
@@ -30,6 +33,13 @@ from repairkit import cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MAX_LED = 10
 PROBLEMS = 3
+VARIANTS = (
+    ["--strategy", "M1"],
+    ["--strategy", "M2"],
+    ["--strategy", "M3"],
+    ["--granularity", "token", "--aggregation", "floor"],
+    ["--granularity", "token", "--aggregation", "cap"],
+)
 
 
 def _dataset(argv: list[str]) -> bytes:
@@ -43,7 +53,7 @@ def _dataset(argv: list[str]) -> bytes:
 
 
 def seed_digest(gen, seed: int, work: Path) -> str:
-    """sha256 over the outputs of both dataset runs on one seed's archive.
+    """sha256 over the outputs of every dataset run on one seed's archive.
 
     Runs inside ``work`` with relative paths, so the human summary that
     names the corpus file is the same wherever ``work`` is.
@@ -60,6 +70,10 @@ def seed_digest(gen, seed: int, work: Path) -> str:
         h.update(Path("stats.json").read_bytes())
         h.update(_dataset([*common, "--json"]))
         h.update(Path("corpus.jsonl").read_bytes())
+        for variant in VARIANTS:
+            h.update(_dataset([*common, "--stats", "stats.json", *variant]))
+            h.update(Path("corpus.jsonl").read_bytes())
+            h.update(Path("stats.json").read_bytes())
     finally:
         os.chdir(cwd)
     return h.hexdigest()

@@ -180,16 +180,19 @@ def pair_seed(global_seed: int, pair_id: str) -> int:
     return global_seed ^ crc32(pair_id.encode())
 
 
-def pair_mask(pair: RepairPair,
-              config: MaskConfig) -> tuple[SourceUnit, SourceUnit, MaskVector]:
+def pair_mask(pair: RepairPair, config: MaskConfig,
+              fixed_unit: SourceUnit | None = None,
+              ) -> tuple[SourceUnit, SourceUnit, MaskVector]:
     """The parsed buggy and fixed sides of ``pair`` and its mask under ``config``.
 
     The mask's seed is derived from the config seed and the pair id so a
-    corpus is reproducible record-by-record.
+    corpus is reproducible record-by-record.  ``fixed_unit``, when given, is
+    ``parse(pair.fixed.code)`` already made and is used instead of parsing.
     """
     cfg = replace(config, rng_seed=pair_seed(config.rng_seed, pair.pair_id))
     buggy_unit = parse(pair.buggy.code)
-    fixed_unit = parse(pair.fixed.code)
+    if fixed_unit is None:
+        fixed_unit = parse(pair.fixed.code)
     return buggy_unit, fixed_unit, build_mask(buggy_unit, fixed_unit, cfg)
 
 
@@ -236,11 +239,19 @@ class Records(list):
 
 
 def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> Records:
-    """Corpus records for ``pairs``, sorted by pair id."""
+    """Corpus records for ``pairs``, sorted by pair id.
+
+    A student's wrong attempts all pair with the same accepted submission
+    and sit next to each other in pair-id order, so each pair reuses the
+    previous pair's parse of the fixed file when that is the same submission.
+    """
     config = config or MaskConfig()
     records, buggy_tokens = [], []
+    fixed, fixed_unit = None, None
     for pair in sorted(pairs, key=lambda p: p.pair_id):
-        buggy_unit, fixed_unit, mask = pair_mask(pair, config)
+        reuse = fixed_unit if pair.fixed is fixed else None
+        buggy_unit, fixed_unit, mask = pair_mask(pair, config, reuse)
+        fixed = pair.fixed
         records.append(mask_record(pair, fixed_unit, mask))
         buggy_tokens.append(len(buggy_unit.code_tokens()))
     return Records(records, buggy_tokens)

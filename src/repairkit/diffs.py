@@ -21,10 +21,12 @@ the shortcuts below return exactly the pairs it would:
   reduce to a walk: match equal statements, else delete while ``i > j`` and
   insert while ``j > i``.  A plain trim would instead match the prefix
   first and put those edits on different statements.
-* A cell skips the substitution cost when the length difference of the two
-  statements alone makes the diagonal worse than the best indel step (or,
-  in the traceback, than the cell's value) by more than 1e-9.  Such a
-  diagonal can change neither a min nor a tie test at 1e-12.
+* The character distance is at least the length difference, which bounds
+  the diagonal from below.  A cell of the table skips the substitution cost
+  when that bound already reaches the best indel step: the cell then holds
+  the indel cost, the same float the min would give.  The traceback skips
+  it when the bound passes the cell's value by more than 1e-9, where it
+  can change no tie test at 1e-12.
 
 ``levenshtein`` is the exact unit-cost edit distance, computed with the
 bit-parallel kernel of Myers (JACM 1999) in the global-distance form given
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .source import CodeFacts, SourceUnit, parse
 
@@ -112,8 +114,7 @@ def _substitution_cost(a: str, b: str) -> float:
     return levenshtein(a, b) / denom
 
 
-@dataclass(frozen=True)
-class AlignPair:
+class AlignPair(NamedTuple):
     """One aligned step: op is 'match', 'replace', 'insert' or 'delete'.
 
     ``buggy`` / ``fixed`` are statement indices into the respective units;
@@ -169,13 +170,24 @@ def _align_pairs(a: list[str], b: list[str]) -> list[AlignPair]:
     # cost[i][j]: min cost aligning a[:p + i] with b[:p + j]
     rows, cols = n - p, m - p
     cost = [[float(j) for j in range(cols + 1)]]
+    b_mid = b[p:m]
+    b_lens = [len(y) for y in b_mid]
     for i in range(1, rows + 1):
         prev_row = cost[-1]
-        row = [float(i)]
+        left = float(i)
+        row = [left]
         x = a[p + i - 1]
-        for j in range(1, cols + 1):
-            indel = min(prev_row[j], row[j - 1]) + 1.0
-            row.append(min(_diagonal(prev_row[j - 1], x, b[p + j - 1], indel), indel))
+        len_x = len(x)
+        for d, up, y, len_y in zip(prev_row, prev_row[1:], b_mid, b_lens):
+            # min(min(up, left) + 1.0, d + _substitution_cost(x, y))
+            indel = (left if left < up else up) + 1.0
+            denom = (len_x if len_x > len_y else len_y) or 1
+            if d + abs(len_x - len_y) / denom >= indel:
+                left = indel
+            else:
+                diag = d + 0.0 if x == y else d + levenshtein(x, y) / denom
+                left = indel if indel < diag else diag
+            row.append(left)
         cost.append(row)
 
     # traceback, preferring diagonal steps for a deterministic alignment

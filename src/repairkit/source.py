@@ -17,8 +17,10 @@ region and the unit is flagged ``degraded``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Mapping, NamedTuple
 
 __all__ = [
     "Token",
@@ -69,10 +71,20 @@ _TOKEN_RE = re.compile(
 
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _WS_RE = re.compile(r"\s+")
+_DECL_RE = re.compile(r"[A-Za-z_]\w*\s*[*\s]\s*\**\s*[A-Za-z_]\w*")
+_CALL_RE = re.compile(r"[A-Za-z_]\w*\s*\(")
+
+# The scanner takes a run of blanks, or a run of characters outside _BLANKS
+# and _ROLES (which only extend the open statement), in one step.  Blanks are
+# spelled out rather than ``\s``, which would also take ``\xa0``, ``\x85``,
+# ``\x1c``-``\x1f`` and ``\u2028``: the scanner treats those as significant.
+_BLANKS = " \t\r\f\v"
+_ROLES = "\n/\\\"'#();{}="
+_BLANK_RUN = re.compile(f"[{re.escape(_BLANKS)}]+")
+_PLAIN_RUN = re.compile(f"[^{re.escape(_BLANKS + _ROLES)}]+")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token; ``statement`` is the owning statement index.
 
     Comment tokens carry ``statement=None`` — they sit between or inside
@@ -86,8 +98,7 @@ class Token:
     statement: int | None = None
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     index: int
     start: int
     end: int
@@ -201,6 +212,7 @@ class _Scanner:
 
     def run(self) -> None:
         text, n = self.text, self.n
+        blank_run, plain_run = _BLANK_RUN.match, _PLAIN_RUN.match
         i = 0
         start: int | None = None   # first significant byte of the open statement
         last_sig = 0               # one past the last significant byte
@@ -228,8 +240,15 @@ class _Scanner:
         while i < n:
             c = text[i]
 
-            if c in " \t\r\f\v":
-                i += 1
+            if c in _BLANKS:
+                i = blank_run(text, i).end()
+                continue
+
+            if c not in _ROLES:
+                # a run of characters that only extend the open statement
+                if start is None:
+                    start = i
+                i = last_sig = plain_run(text, i).end()
                 continue
 
             if c == "\n":
@@ -245,10 +264,15 @@ class _Scanner:
                 i = self._skip_block_comment(i)
                 continue
 
-            if c == "\\" and in_pp and text.startswith("\\\n", i):
-                # line continuation inside a preprocessor directive
+            if c == "\\" and in_pp:
                 mark(i)
-                i += 2
+                # a line continuation, LF or CRLF, keeps the directive open
+                if text.startswith("\\\n", i):
+                    i += 2
+                elif text.startswith("\\\r\n", i):
+                    i += 3
+                else:
+                    i += 1
                 continue
 
             if c in "\"'":
@@ -377,12 +401,13 @@ class _Scanner:
 
 def _normalize_span(text: str, start: int, end: int,
                     comments: list[tuple[int, int]]) -> str:
-    """Span text with comments replaced by a space and whitespace collapsed."""
+    """Span text with comments replaced by a space and whitespace collapsed.
+
+    ``comments`` are the sorted comments that overlap [start, end).
+    """
     parts = []
     pos = start
     for cs, ce in comments:
-        if ce <= start or cs >= end:
-            continue
         parts.append(text[pos:max(cs, pos)])
         parts.append(" ")
         pos = min(ce, end)
@@ -405,52 +430,59 @@ def _classify(normalized: str) -> str:
         return "control-header"
     if first in _TYPE_WORDS:
         return "declaration"
-    if re.match(r"[A-Za-z_]\w*\s*[*\s]\s*\**\s*[A-Za-z_]\w*", normalized):
+    if _DECL_RE.match(normalized):
         return "declaration"
     toks = _TOKEN_RE.findall(normalized)
     if any(t in _ASSIGN_OPS or t in ("++", "--") for t in toks):
         return "assignment"
-    if re.match(r"[A-Za-z_]\w*\s*\(", normalized):
+    if _CALL_RE.match(normalized):
         return "call"
     return "other"
 
 
 def _tokenize_code(text: str, start: int, end: int,
                    comments: list[tuple[int, int]], stmt: int) -> list[Token]:
-    """Tokenize the non-comment slices of [start, end)."""
-    out: list[Token] = []
+    """Tokenize the non-comment slices of [start, end).
+
+    ``comments`` are the sorted comments that overlap [start, end).
+    """
     pos = start
     segments: list[tuple[int, int]] = []
     for cs, ce in comments:
-        if ce <= start or cs >= end:
-            continue
         if cs > pos:
             segments.append((pos, cs))
         pos = min(ce, end)
     if pos < end:
         segments.append((pos, end))
-    for lo, hi in segments:
-        for m in _TOKEN_RE.finditer(text, lo, hi):
-            out.append(Token(m.start(), m.end(), m.group(0), False, stmt))
-    return out
+    return [Token(m.start(), m.end(), m.group(0), False, stmt)
+            for lo, hi in segments for m in _TOKEN_RE.finditer(text, lo, hi)]
 
 
 def parse(text: str) -> SourceUnit:
     scanner = _Scanner(text)
     scanner.run()
+    # comments are disjoint, so sorted by start they are sorted by end too
     comments = sorted(scanner.comments)
+    comment_ends = [ce for _, ce in comments]
 
     statements = []
     tokens: list[Token] = []
     for idx, (s, e, block) in enumerate(sorted(scanner.spans)):
-        norm = _normalize_span(text, s, e, comments)
+        # the comments overlapping [s, e): a run from the first that ends past s
+        lo = hi = bisect_right(comment_ends, s)
+        while hi < len(comments) and comments[hi][0] < e:
+            hi += 1
+        inside = comments[lo:hi]
+        norm = _normalize_span(text, s, e, inside)
         statements.append(
             Statement(idx, s, e, text[s:e], norm, _classify(norm), block)
         )
-        tokens.extend(_tokenize_code(text, s, e, comments, idx))
-    for cs, ce in comments:
-        tokens.append(Token(cs, ce, text[cs:ce], True, None))
-    tokens.sort(key=lambda t: (t.start, t.end))
+        tokens.extend(_tokenize_code(text, s, e, inside, idx))
+    if comments:
+        # spans are sorted and disjoint: only comments can be out of order
+        for cs, ce in comments:
+            tokens.append(Token(cs, ce, text[cs:ce], True, None))
+        tokens.sort(key=itemgetter(0, 1))
 
     return SourceUnit(
         text=text,

@@ -8,6 +8,7 @@ shared bug is unlikely.
 from __future__ import annotations
 
 import math
+import re
 import sys
 import zlib
 from functools import lru_cache
@@ -16,6 +17,9 @@ from repairkit import decoding
 from repairkit.decoding import (BOUNDARY_TOKENS, DEFAULT_COST, DecodeLimits,
                                 DecodeResult, DecodeStats, DraftSource)
 from repairkit.errors import BackendContractError, RepairKitError
+from repairkit.source import (_ASSIGN_OPS, _CONTROL_PAREN, _CONTROL_WORDS,
+                              _IDENT_RE, _TOKEN_RE, _TYPE_WORDS, _WS_RE,
+                              ROOT_BLOCK, SourceUnit, Statement, Token)
 
 
 def lev_ref(a: str, b: str) -> int:
@@ -343,3 +347,247 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
             break
 
     return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))
+
+
+class _ScannerRef:
+    """``parse``'s scanner taken one character per step.
+
+    No run skipping: every blank and every character without a role is its
+    own loop iteration.  A preprocessor line continues over a backslash
+    followed by LF or by CRLF.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.n = len(text)
+        self.spans: list[tuple[int, int, int]] = []
+        self.comments: list[tuple[int, int]] = []
+        self.degraded = False
+        self.block_parent: dict[int, int | None] = {ROOT_BLOCK: None}
+        self.stack = [ROOT_BLOCK]
+        self.next_block = ROOT_BLOCK + 1
+
+    def peek_code(self, i: int) -> str | None:
+        text, n = self.text, self.n
+        while i < n:
+            c = text[i]
+            if c in " \t\r\n\f\v":
+                i += 1
+            elif text.startswith("//", i):
+                j = text.find("\n", i)
+                i = n if j == -1 else j
+            elif text.startswith("/*", i):
+                j = text.find("*/", i + 2)
+                i = n if j == -1 else j + 2
+            else:
+                return c
+        return None
+
+    def run(self) -> None:
+        text, n = self.text, self.n
+        i = 0
+        start: int | None = None
+        last_sig = 0
+        paren = init_brace = 0
+        saw_assign = in_pp = False
+
+        def close(end: int) -> None:
+            nonlocal start, paren, init_brace, saw_assign, in_pp
+            if start is not None and end > start:
+                self.spans.append((start, end, self.stack[-1]))
+            start = None
+            paren = init_brace = 0
+            saw_assign = in_pp = False
+
+        def mark(pos: int) -> None:
+            nonlocal start, last_sig
+            if start is None:
+                start = pos
+            last_sig = pos + 1
+
+        while i < n:
+            c = text[i]
+            if c in " \t\r\f\v":
+                i += 1
+            elif c == "\n":
+                if in_pp:
+                    close(last_sig)
+                i += 1
+            elif text.startswith("//", i):
+                j = text.find("\n", i)
+                j = n if j == -1 else j
+                self.comments.append((i, j))
+                i = j
+            elif text.startswith("/*", i):
+                j = text.find("*/", i + 2)
+                if j == -1:
+                    self.comments.append((i, n))
+                    self.degraded = True
+                    i = n
+                else:
+                    self.comments.append((i, j + 2))
+                    i = j + 2
+            elif in_pp and (text.startswith("\\\n", i) or text.startswith("\\\r\n", i)):
+                mark(i)
+                i += 2 if text[i + 1] == "\n" else 3
+            elif c in "\"'":
+                mark(i)
+                j = i + 1
+                closed = False
+                while j < n:
+                    if text[j] == "\\" and j + 1 < n:
+                        j += 2
+                        continue
+                    if text[j] == c:
+                        closed = True
+                        break
+                    if text[j] == "\n":
+                        break
+                    j += 1
+                if closed:
+                    mark(j)
+                    i = j + 1
+                else:
+                    self.degraded = True
+                    end = min(j, n)
+                    if end > i:
+                        mark(end - 1)
+                    close(last_sig)
+                    i = end
+            elif c == "#" and start is None:
+                mark(i)
+                in_pp = True
+                i += 1
+            elif in_pp:
+                mark(i)
+                i += 1
+            elif c == "(":
+                mark(i)
+                paren += 1
+                i += 1
+            elif c == ")":
+                mark(i)
+                if paren > 0:
+                    paren -= 1
+                i += 1
+                if paren == 0 and start is not None:
+                    head = _IDENT_RE.findall(text[start:i])[:2]
+                    control = bool(head) and (
+                        head[0] in _CONTROL_PAREN
+                        or (head[0] == "else" and len(head) > 1
+                            and head[1] in _CONTROL_PAREN))
+                    if control or self.peek_code(i) == "{":
+                        close(i)
+            elif c == ";" and paren == 0 and init_brace == 0:
+                mark(i)
+                close(i + 1)
+                i += 1
+            elif c == "{" and paren == 0:
+                if saw_assign:
+                    init_brace += 1
+                    mark(i)
+                else:
+                    close(last_sig)
+                    self.spans.append((i, i + 1, self.stack[-1]))
+                    bid = self.next_block
+                    self.next_block += 1
+                    self.block_parent[bid] = self.stack[-1]
+                    self.stack.append(bid)
+                i += 1
+            elif c == "}" and paren == 0:
+                if init_brace > 0:
+                    init_brace -= 1
+                    mark(i)
+                else:
+                    close(last_sig)
+                    if len(self.stack) > 1:
+                        self.stack.pop()
+                    else:
+                        self.degraded = True
+                    self.spans.append((i, i + 1, self.stack[-1]))
+                i += 1
+            elif c == "=" and paren == 0 and init_brace == 0:
+                prev = text[i - 1] if i > 0 else ""
+                nxt = text[i + 1] if i + 1 < n else ""
+                if nxt != "=" and prev not in "<>!=":
+                    saw_assign = True
+                mark(i)
+                i += 1
+            else:
+                mark(i)
+                i += 1
+
+        if start is not None:
+            self.degraded = True
+            offset = start
+            for line in text[start:last_sig].split("\n"):
+                stripped = line.strip(" \t\r\f\v")
+                if stripped:
+                    lo = offset + len(line) - len(line.lstrip(" \t\r\f\v"))
+                    self.spans.append((lo, lo + len(stripped), self.stack[-1]))
+                offset += len(line) + 1
+        if len(self.stack) > 1:
+            self.degraded = True
+
+
+def _code_segments_ref(start: int, end: int,
+                       comments: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The parts of [start, end) outside every comment, each comment checked."""
+    segments, pos = [], start
+    for cs, ce in comments:
+        if ce <= start or cs >= end:
+            continue
+        if cs > pos:
+            segments.append((pos, cs))
+        pos = max(pos, min(ce, end))
+    if pos < end:
+        segments.append((pos, end))
+    return segments
+
+
+def _classify_ref(norm: str) -> str:
+    if not norm:
+        return "other"
+    if norm.startswith("#"):
+        return "preprocessor"
+    if norm in ("{", "}"):
+        return "brace"
+    m = _IDENT_RE.match(norm)
+    first = m.group(0) if m else ""
+    if first == "return":
+        return "return"
+    if first in _CONTROL_WORDS:
+        return "control-header"
+    if first in _TYPE_WORDS:
+        return "declaration"
+    if re.match(r"[A-Za-z_]\w*\s*[*\s]\s*\**\s*[A-Za-z_]\w*", norm):
+        return "declaration"
+    if any(t in _ASSIGN_OPS or t in ("++", "--") for t in _TOKEN_RE.findall(norm)):
+        return "assignment"
+    if re.match(r"[A-Za-z_]\w*\s*\(", norm):
+        return "call"
+    return "other"
+
+
+def parse_ref(text: str) -> SourceUnit:
+    """``parse`` with the one-character scanner and per-statement comment walks.
+
+    Every statement scans the whole comment list, and the tokens are sorted
+    whether or not the file has comments.
+    """
+    scanner = _ScannerRef(text)
+    scanner.run()
+    comments = sorted(scanner.comments)
+    statements, tokens = [], []
+    for idx, (s, e, block) in enumerate(sorted(scanner.spans)):
+        segments = _code_segments_ref(s, e, comments)
+        # a comment is a space, so the code parts joined by spaces, collapsed
+        norm = _WS_RE.sub(" ", " ".join(text[lo:hi] for lo, hi in segments)).strip()
+        statements.append(Statement(idx, s, e, text[s:e], norm, _classify_ref(norm), block))
+        for lo, hi in segments:
+            tokens.extend(Token(m.start(), m.end(), m.group(0), False, idx)
+                          for m in _TOKEN_RE.finditer(text, lo, hi))
+    tokens.extend(Token(cs, ce, text[cs:ce], True, None) for cs, ce in comments)
+    tokens.sort(key=lambda t: (t.start, t.end))
+    return SourceUnit(text, tuple(statements), tuple(tokens),
+                      dict(scanner.block_parent), scanner.degraded)

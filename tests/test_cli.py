@@ -18,6 +18,8 @@ from repairkit.source import parse
 
 from conftest import SUM_OK, SUM_WRONG_OP, write_archive, write_problem_meta
 
+SUM_NO_RETURN = SUM_OK.replace("    return 0;\n", "")
+
 SCHEMA_DIR = Path(repairkit.__file__).parent / "schemas"
 
 
@@ -165,8 +167,16 @@ def test_dataset_corpus_to_stdout(archive, capsys):
     assert "2 records, 0 dropped" in err
 
 
-def test_dataset_stats_parse_each_file_once(archive, tmp_path, capsys, monkeypatch):
+def test_dataset_stats_parse_each_file_once(tmp_path, capsys, monkeypatch):
+    # two wrong attempts pair with one accepted file, which is parsed once;
     # the buggy token counts come from the parse the mask build makes
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    write_archive(archive, [
+        {"problem_id": "p1", "student_id": "s1", "timestamp": ts,
+         "verdict": verdict, "code": code}
+        for ts, verdict, code in [("100", "WA", SUM_WRONG_OP), ("150", "WA", SUM_NO_RETURN),
+                                  ("200", "OK", SUM_OK)]])
     calls = []
     real_parse = repairkit.dataset.parse
 
@@ -180,7 +190,9 @@ def test_dataset_stats_parse_each_file_once(archive, tmp_path, capsys, monkeypat
                           "--stats", str(stats_file)], capsys)
     assert code == 0
     records = [json.loads(line) for line in out_file.read_text().splitlines()]
-    assert len(calls) == 2 * len(records)
+    assert len(records) == 2
+    files = {r["buggy_code"] for r in records} | {r["fixed_code"] for r in records}
+    assert sorted(calls) == sorted(files) == sorted([SUM_WRONG_OP, SUM_NO_RETURN, SUM_OK])
 
     stats = json.loads(stats_file.read_text())
     tokens = [len(parse(r["buggy_code"]).code_tokens()) for r in records]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repairkit.diffs import align_statements, levenshtein, line_edit_distance
+from repairkit.diffs import (AlignPair, align_statements, levenshtein,
+                             line_edit_distance)
 from repairkit.source import extract_facts, parse
 
 from conftest import gen_program, perturb_program
@@ -166,6 +167,16 @@ def test_single_replacement_is_found():
     assert mods == ["x = a + b;"]
     assert "x" in diff.modified_vars
     assert "a" in diff.modified_vars
+
+
+def test_align_pair_is_an_immutable_hashable_tuple():
+    pair = align_statements("a = 1;", "a = 2;").pairs[0]
+    assert pair == AlignPair("replace", 0, 0)
+    assert repr(pair) == "AlignPair(op='replace', buggy=0, fixed=0)"
+    assert AlignPair._fields == ("op", "buggy", "fixed")
+    with pytest.raises(AttributeError):
+        pair.op = "match"
+    assert hash(pair) == hash(AlignPair("replace", 0, 0))
 
 
 def test_insertion_marks_the_new_statement():

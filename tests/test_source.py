@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repairkit.source import (ROOT_BLOCK, extract_facts, parse,
-                              same_block_statements)
+from repairkit.source import (ROOT_BLOCK, Statement, Token, extract_facts,
+                              parse, same_block_statements)
 
 from conftest import gen_program
+from oracles import parse_ref
 
 
 def texts(code):
@@ -54,6 +55,15 @@ def test_preprocessor_lines_with_continuation():
     assert got[0].startswith("#define MAX")
     assert "((a) > (b)" in got[0]
     assert got[1] == "int x;"
+
+
+def test_crlf_continuation_keeps_the_define_whole():
+    lf = ("#define ADD(a, b) \\\n    ((a) + (b))\n"
+          "int main(void)\n{\n    return ADD(1, 2);\n}\n")
+    crlf = lf.replace("\n", "\r\n")
+    norms = [s.normalized for s in parse(lf).statements]
+    assert norms[:2] == ["#define ADD(a, b) \\ ((a) + (b))", "int main(void)"]
+    assert [s.normalized for s in parse(crlf).statements] == norms
 
 
 def test_strings_and_comments_do_not_break_statements():
@@ -105,6 +115,49 @@ def test_parse_never_crashes_on_arbitrary_text(text):
     unit = parse(text)
     for s in unit.statements:
         assert 0 <= s.start <= s.end <= len(unit.text)
+
+
+# C-like fragments and the characters that stress the scanner: unterminated
+# literals and comments, backslash-newlines (LF and CRLF) inside literals and
+# directives, '#' mid-statement, '=' beside comparison operators, initializer
+# braces, and characters that \s counts as whitespace but the scanner does not.
+_FRAGMENTS = [
+    "int a = 1;", "a = b;", "x == y", "i <= n", "a != b", "b >= c", "a += 2;",
+    "foo(x, y);", "if (a)", "else if (b)", "for (i = 0; i < n; i++)",
+    "while (x)", "return 0;", "int f(void)", "{", "}", "(", ")", ";", "=",
+    "==", "<=", "!=", "int v[2] = {1, 2};", "= {", "#include <stdio.h>",
+    "#define M(x) \\\n (x)", "#define N 1 \\\r\n + 2", "#", " # ", "\\",
+    "\\\n", "\\\r\n", '"', "'", '"a;b{c}"', "'}'", '"x\\\ny"', "'\\\r\n'",
+    '"\\"', "/*", "*/", "/* c; */", "// c {\n", "//", "/", "*", "x", "y1",
+    "3.5e2f", "->", "...", " ", "  ", "\t", "\n", "\r\n", "\r", "\xa0",
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1f", "\x85", "\u2028",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+def test_parse_matches_the_one_character_scanner(text):
+    got, want = parse(text), parse_ref(text)
+    assert got.statements == want.statements
+    assert got.tokens == want.tokens
+    assert got.block_parent == want.block_parent
+    assert got.degraded == want.degraded
+
+
+def test_record_types_are_immutable_hashable_tuples():
+    tok = Token(0, 3, "int", False, 0)
+    assert repr(tok) == "Token(start=0, end=3, text='int', is_comment=False, statement=0)"
+    assert Token._fields == ("start", "end", "text", "is_comment", "statement")
+    assert Token(0, 3, "int") == Token(0, 3, "int", False, None)
+    assert Statement._fields == ("index", "start", "end", "text", "normalized",
+                                 "kind", "block_id")
+    stmt = parse("int a;").statements[0]
+    assert repr(stmt) == ("Statement(index=0, start=0, end=6, text='int a;', "
+                          "normalized='int a;', kind='declaration', block_id=0)")
+    for record, field in ((tok, "text"), (stmt, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+        assert hash(record) == hash(type(record)(*record))
 
 
 def test_blocks_nest_and_braces_belong_outside():
