@@ -375,7 +375,8 @@ def _add_decode_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-tokens", type=_int_at_least(1), default=4192,
                    help="hard cap on generated tokens (default 4192)")
     p.add_argument("--fallback-run", type=_int_at_least(0), default=5,
-                   help="max plain autoregressive tokens per draft miss (default 5)")
+                   help="first greedy run after a draft miss; doubles while the "
+                        "model ignores the draft (default 5)")
     p.add_argument("--probe", action="store_true",
                    help="check backend determinism/causality before decoding")
 

@@ -5,10 +5,13 @@ iteration realigns the not-yet-consumed tail of the buggy token stream
 against the output produced so far, verifies that whole tail with a single
 forward pass, accepts the longest prefix that agrees with the model's own
 greedy predictions plus one correction token, and bridges disagreements
-with a short run of plain autoregressive steps.  Every accepted token is
-conditioned on an already-verified prefix, so the output is token-for-token
-identical to plain greedy decoding — only the number of forward passes
-changes.
+with a short run of plain autoregressive steps.  The bridge is
+``DecodeLimits.fallback_run`` steps at first and doubles after each round
+that accepted no draft token and closed no statement, so a model that
+ignores the draft pays about log2(T / fallback_run) verify passes for T
+tokens; any progress resets it.  Every accepted token is conditioned on an
+already-verified prefix, so the output is token-for-token identical to
+plain greedy decoding — only the number of forward passes changes.
 
 Backends expose one method: ``forward(tokens)`` returns, for every position
 ``i``, the greedy next token after ``tokens[:i+1]``.  They must be
@@ -81,6 +84,9 @@ DEFAULT_COST = CostModel()
 
 @dataclass(frozen=True)
 class DecodeLimits:
+    """``fallback_run`` is the first greedy bridge after a draft miss; the
+    bridge doubles while the model ignores the draft (0 disables it)."""
+
     max_tokens: int = 4192
     fallback_run: int = 5
 
@@ -229,8 +235,12 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
 def _check_consistency(preds: Sequence[str], ctx: Sequence[str],
                        n_prompt: int) -> None:
     # Predictions over the already-emitted region must reproduce it exactly;
-    # anything else means the backend is not deterministic+causal.
-    for i in range(max(n_prompt - 1, 0), len(ctx) - 1):
+    # anything else means the backend is not deterministic+causal.  One
+    # slice comparison checks it; only a failure walks the positions.
+    lo = max(n_prompt - 1, 0)
+    if preds[lo:len(ctx) - 1] == ctx[lo + 1:]:
+        return
+    for i in range(lo, len(ctx) - 1):
         if preds[i] != ctx[i + 1]:
             raise BackendContractError(
                 f"backend re-predicted position {i + 1} as {preds[i]!r} "
@@ -257,6 +267,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     out: list[str] = []
     stats = DecodeStats()
     anchor = 0
+    bridge = limits.fallback_run
     t0 = perf_counter()
 
     while len(out) < cap and not (out and out[-1] == eos):
@@ -284,8 +295,9 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             out += new
             ctx += new
             if new[-1] == eos or new[-1] in BOUNDARY_TOKENS:
+                bridge = limits.fallback_run
                 continue  # finished, or statement closed: realign immediately
-            run = min(run - len(new), limits.fallback_run)
+            run = min(run - len(new), bridge)
         # Plain greedy steps.  With a draft they bridge the divergence and
         # stop early at a statement boundary so realignment can kick in;
         # with the draft exhausted they decode the remainder.
@@ -298,6 +310,12 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             stats.ar_fallback_tokens += 1
             if tok == eos or (draft and tok in BOUNDARY_TOKENS):
                 break
+        if draft:
+            # A round that accepted nothing and closed no statement means the
+            # model is ignoring the draft: bridge twice as far before the
+            # next verify pass re-offers it.
+            stalled = not k and out[-1] not in BOUNDARY_TOKENS
+            bridge = bridge * 2 if stalled else limits.fallback_run
 
     stats.tokens_emitted = len(out)
     stats.wall_time = perf_counter() - t0

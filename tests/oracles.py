@@ -280,6 +280,9 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
     and the fallback bridge are separate loops.  The library accepts a
     verified slice at once and counts it afterwards.  Drafts come from
     ``decoding.draft_generate``, looked up at call time like the library's.
+    The bridge starts at ``fallback_run`` tokens, doubles after a round
+    that accepted no draft token and closed no statement, and is reset by
+    any other round.
     """
     source = DraftSource.from_tokens(buggy)
     eos = model.eos_token
@@ -287,6 +290,7 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
     out: list[str] = []
     stats = DecodeStats()
     anchor = 0
+    bridge = limits.fallback_run
     finished = False
 
     def forward(tokens):
@@ -334,17 +338,24 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
         if emit(correction, "corrections"):
             break
         if correction in BOUNDARY_TOKENS:
+            bridge = limits.fallback_run
             continue
 
-        for _ in range(limits.fallback_run):
+        closed = False
+        for _ in range(bridge):
             tok = forward(ctx)[-1]
             if emit(tok, "ar_fallback_tokens"):
                 stop = True
                 break
             if tok in BOUNDARY_TOKENS:
+                closed = True
                 break
         if stop:
             break
+        if k == 0 and not closed:
+            bridge += bridge
+        else:
+            bridge = limits.fallback_run
 
     return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))
 

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from dataclasses import asdict, replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +19,7 @@ from repairkit.decoding import (CostModel, DecodeLimits, DecodeResult,
                                 probe_backend, repair_prompt)
 from repairkit.errors import (BackendContractError, DegenerateInputError,
                               LosslessnessError)
+from repairkit.synthetic import make_pair
 
 from oracles import accelerated_decode_ref
 
@@ -262,6 +265,64 @@ def test_accounting_matches_reference_on_mostly_right_drafts(seed):
 
 
 # ---------------------------------------------------------------------------
+# the greedy bridge: doubles while the draft is ignored, resets otherwise
+
+
+def test_bridge_doubles_while_the_model_ignores_the_draft():
+    vocab = [f"w{i}" for i in range(1000)]
+    backend = SeededRandomBackend(1, vocab)
+    rng = random.Random(0)
+    draft = [rng.choice(vocab) for _ in range(40)]
+    prompt = repair_prompt(draft)
+    tokens, _, stats, calls = _run_spied(
+        accelerated_decode, backend, prompt, draft,
+        DecodeLimits(max_tokens=256, fallback_run=5))
+    assert tokens == ar_decode(backend, prompt, 256).tokens
+    assert stats["forward_passes"] == 256
+    # rounds of 1 verify pass plus bridges of 5, 10, 20, 40, 80, then the cap;
+    # a fixed bridge of 5 makes 43 verify passes offering 1720 draft tokens
+    assert [n for n, _ in calls] == [0, 6, 17, 38, 79, 160]
+    assert sum(len(draft) - anchor for _, anchor in calls) == 240
+
+
+@pytest.mark.parametrize(
+    "target, expected",
+    [
+        # round 2 accepts "a" (bridge 2: p q), round 3 bridges 1 again
+        (["x", "y", "a", "z", "p", "q", "r", "s", "t", "u", "v"],
+         [0, 2, 6, 8, 11]),
+        # round 2's bridge closes a statement at ";", round 3 bridges 1 again
+        (["x", "y", "z", "w", ";", "p", "q", "r", "s", "t"],
+         [0, 2, 5, 7, 10]),
+        # round 2's correction itself closes a statement
+        (["x", "y", ";", "p", "q", "r", "s", "t", "u"],
+         [0, 2, 3, 5, 8]),
+    ],
+    ids=["accepted-token", "bridge-boundary", "correction-boundary"],
+)
+def test_bridge_resets_after_progress(target, expected):
+    draft = ["a", "b", "c", "d", "e", "f"]
+    backend = make_repair_oracle(draft, target)
+    tokens, _, _, calls = _run_spied(accelerated_decode, backend, backend.prompt,
+                                     draft, DecodeLimits(fallback_run=1))
+    assert tokens == target + [EOS]
+    assert [n for n, _ in calls][:len(expected)] == expected
+
+
+@pytest.mark.parametrize("length", [200, 1000])
+def test_scaling_sweep_passes_are_unchanged(length):
+    passes = []
+    for regions in (1, 2, 4, 8):
+        pair = make_pair(length, regions, random.Random(0))
+        backend = make_repair_oracle(pair.buggy_tokens, pair.target_tokens)
+        res = accelerated_decode(backend, backend.prompt, pair.buggy_tokens,
+                                 DecodeLimits(max_tokens=length + 8))
+        assert res.tokens == list(pair.target_tokens) + [EOS]
+        passes.append(res.stats.forward_passes)
+    assert passes == [9, 17, 33, 65]
+
+
+# ---------------------------------------------------------------------------
 # losslessness property
 
 
@@ -296,6 +357,28 @@ def test_stats_invariants_on_random_models(seed, fallback):
     assert s.forward_passes >= 1
 
 
+def _fuzz_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fuzz_losslessness.py"
+    spec = importlib.util.spec_from_file_location("fuzz_losslessness", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [["--trials", "-5"], ["--trials", "0"],
+                                  ["--max-tokens", "0"], ["--max-draft", "-1"]])
+def test_fuzz_script_rejects_out_of_range_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _fuzz_script().main(argv)
+    assert exc.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
+def test_fuzz_script_passes_a_short_run(capsys):
+    assert _fuzz_script().main(["--trials", "40", "--max-draft", "60"]) == 0
+    assert "40 trials lossless" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # backend contract enforcement
 
@@ -315,6 +398,41 @@ def test_inconsistent_backend_is_caught_mid_decode():
     with pytest.raises(BackendContractError):
         accelerated_decode(backend, ["p"], ["a", ";", "b"],
                            DecodeLimits(max_tokens=30))
+
+
+class _DriftingBackend:
+    """An honest oracle until its first pass is done; from then on it
+    re-predicts the emitted tokens at ``drift_at`` (output indices)."""
+
+    eos_token = EOS
+
+    def __init__(self, buggy, target, drift_at):
+        self._oracle = make_repair_oracle(buggy, target)
+        self.prompt = self._oracle.prompt
+        self.drift_at = drift_at
+        self.calls = 0
+
+    def forward(self, tokens):
+        preds = self._oracle.forward(tokens)
+        self.calls += 1
+        if self.calls > 1:
+            for j in self.drift_at:
+                preds[len(self.prompt) + j - 1] = f"drift{j}"
+        return preds
+
+
+def test_drift_names_the_first_re_predicted_position():
+    buggy = ["a", "=", "1", ";", "b", "=", "2", ";", "c", "=", "3", ";"]
+    target = buggy[:10] + ["4", ";"]
+    # pass 1 accepts "a = 1 ; b = 2 ; c =" and corrects to "4", a bridge
+    # step emits ";", and the verify pass after it sees the drift
+    backend = _DriftingBackend(buggy, target, drift_at=(5, 8))
+    position = len(backend.prompt) + 5
+    with pytest.raises(BackendContractError,
+                       match=f"position {position} as 'drift5' but previously "
+                             f"emitted '='"):
+        accelerated_decode(backend, backend.prompt, buggy)
+    assert backend.calls == 3
 
 
 class _FlakyBackend:
