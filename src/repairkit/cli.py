@@ -20,6 +20,7 @@ import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NoReturn
 
 from .backends import (EOS, NGramBackend, SeededRandomBackend,
                        TargetOracleBackend, make_repair_oracle)
@@ -40,7 +41,7 @@ from .triage import (BugType, ExecutorConfig, build_prompt, classify,
 log = logging.getLogger("repairkit")
 
 
-def _usage(message: str) -> None:
+def _usage(message: str) -> NoReturn:
     print(f"repairkit: error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
@@ -61,16 +62,20 @@ def _dump(obj: object) -> str:
 
 
 def _mask_config(args: argparse.Namespace) -> MaskConfig:
-    return MaskConfig(
-        strategy=args.strategy,
-        sigma=args.sigma,
-        rng_seed=args.seed,
-        dist_granularity=args.granularity,
-        expansion_aggregation=args.aggregation,
-    )
+    try:
+        return MaskConfig(
+            strategy=args.strategy,
+            sigma=args.sigma,
+            rng_seed=args.seed,
+            dist_granularity=args.granularity,
+            expansion_aggregation=args.aggregation,
+        )
+    except ValueError as exc:
+        _usage(str(exc))
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
+    cfg = _mask_config(args)
     buggy_path, fixed_path = Path(args.buggy), Path(args.fixed)
     buggy_code = buggy_path.read_text()
     fixed_code = fixed_path.read_text()
@@ -83,7 +88,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
         buggy=Submission(pid, "cli", "0", "WRONG", buggy_code),
         fixed=Submission(pid, "cli", "1", "OK", fixed_code),
     )
-    _, fixed_unit, mask = pair_mask(pair, _mask_config(args))
+    _, fixed_unit, mask = pair_mask(pair, cfg)
     record = mask_record(pair, fixed_unit, mask)
 
     if args.json or args.out:
@@ -113,13 +118,14 @@ def _write_jsonl(fh, records: list[dict]) -> None:
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
+    cfg = _mask_config(args)
     subs = load_archive(args.archive)
     pairs = pair_submissions(subs)
     kept = filter_pairs(pairs, max_led=args.max_led)
     dropped = len(pairs) - len(kept)
     if not kept:
         raise DegenerateInputError("no repair pairs survive pairing and filtering")
-    records = build_records(kept, _mask_config(args))
+    records = build_records(kept, cfg)
 
     stats = corpus_stats(kept, records.buggy_tokens)
     stats["dropped_restructuring"] = dropped
@@ -148,6 +154,8 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_triage(args: argparse.Namespace) -> int:
+    if args.prompt and not args.meta:
+        _usage("--prompt needs --meta for the problem context")
     code = Path(args.source).read_text()
     config = ExecutorConfig.from_file(args.config) if args.config else ExecutorConfig()
     meta = load_problem_meta(args.meta) if args.meta else None
@@ -174,8 +182,6 @@ def cmd_triage(args: argparse.Namespace) -> int:
         ],
     }
     if args.prompt:
-        if meta is None:
-            _usage("--prompt needs --meta for the problem context")
         payload["prompt"] = build_prompt(meta, bug, code)
 
     if args.json or args.out:
@@ -298,12 +304,17 @@ def _bench_pairs(path: Path) -> list[tuple[str, str, str]]:
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
         try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError(f"record must be a JSON object, got {type(rec).__name__}")
+            for key in ("buggy_code", "fixed_code"):
+                if not isinstance(rec[key], str):
+                    raise TypeError(f"{key} must be a string, got {type(rec[key]).__name__}")
             triples.append((str(rec.get("pair_id", lineno)),
                             rec["buggy_code"], rec["fixed_code"]))
-        except KeyError as exc:
-            raise RepairKitError(f"{path}:{lineno}: record missing {exc}") from exc
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise RepairKitError(f"{path}:{lineno}: bad repair pair record: {exc}") from exc
     if not triples:
         raise RepairKitError(f"{path}: empty corpus")
     return triples
@@ -432,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draft-accelerated or plain autoregressive decoding")
     p.add_argument("--target", help="fixed source the oracle backend replays")
     p.add_argument("--train-dir", help="corpus directory for the ngram backend")
-    p.add_argument("--order", type=int, default=3, help="ngram context order")
+    p.add_argument("--order", type=_int_at_least(1), default=3, help="ngram context order")
     p.add_argument("--bug-type", choices=[b.value for b in BugType],
                    help="condition the prompt on a triage label")
     p.add_argument("--compare", action="store_true",

@@ -1,5 +1,11 @@
 """Statement-level alignment between a buggy file and its fixed version.
 
+``AlignedDiff`` holds the alignment only: the two parsed units, the aligned
+pairs, the fixed-side statements they modify and the anchors of deleted
+statements.  What the fix means for the rest of the file (which statements
+share its variables, calls or block) is the mask's decision; see
+``mask.expansion_members``.
+
 The alignment is an edit-distance DP over statement sequences: substituting
 one statement for another costs the character-level Levenshtein distance of
 their normalized texts scaled to [0, 1], insertions and deletions cost 1.
@@ -46,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .source import CodeFacts, SourceUnit, parse
+from .source import SourceUnit, parse
 
 __all__ = [
     "AlignPair",
@@ -132,10 +138,7 @@ class AlignedDiff:
     fixed: SourceUnit
     pairs: tuple[AlignPair, ...]
     modified: tuple[int, ...]          # fixed-side statements touched by replace/insert
-    modified_vars: frozenset[str]
-    modified_calls: frozenset[str]
     deletion_anchors: dict[int, tuple[int, ...]]  # fixed stmt -> deleted buggy stmts
-    facts: CodeFacts                   # extract_facts(fixed)
 
     @property
     def identical(self) -> bool:
@@ -228,11 +231,6 @@ def _align_pairs(a: list[str], b: list[str]) -> list[AlignPair]:
 
 
 def align_statements(buggy: SourceUnit | str, fixed: SourceUnit | str) -> AlignedDiff:
-    # Looked up at call time because perfbench's tracer wraps
-    # repairkit.source.extract_facts; a module-level binding here would
-    # bypass that wrap and drop source.facts_calls from traced corpus runs.
-    from .source import extract_facts
-
     if isinstance(buggy, str):
         buggy = parse(buggy)
     if isinstance(fixed, str):
@@ -244,13 +242,6 @@ def align_statements(buggy: SourceUnit | str, fixed: SourceUnit | str) -> Aligne
     modified = tuple(
         p.fixed for p in pairs if p.op in ("replace", "insert") and p.fixed is not None
     )
-
-    facts = extract_facts(fixed)
-    mod_vars: set[str] = set()
-    mod_calls: set[str] = set()
-    for idx in modified:
-        mod_vars |= facts.variables_by_statement.get(idx, frozenset())
-        mod_calls |= facts.calls_by_statement.get(idx, frozenset())
 
     anchors: dict[int, list[int]] = {}
     for pos, p in enumerate(pairs):
@@ -274,10 +265,7 @@ def align_statements(buggy: SourceUnit | str, fixed: SourceUnit | str) -> Aligne
         fixed=fixed,
         pairs=tuple(pairs),
         modified=modified,
-        modified_vars=frozenset(mod_vars),
-        modified_calls=frozenset(mod_calls),
         deletion_anchors={k: tuple(v) for k, v in anchors.items()},
-        facts=facts,
     )
 
 

@@ -26,8 +26,7 @@ from typing import Sequence
 
 from .diffs import AlignedDiff, align_statements, levenshtein
 from .errors import DegenerateInputError
-# extract_facts is unused here; perfbench's tracer wraps repairkit.mask.extract_facts
-from .source import (CodeFacts, SourceUnit, Statement, extract_facts, parse,
+from .source import (SourceUnit, Statement, extract_facts, parse,
                      same_block_statements)
 from .source import _TOKEN_RE  # reuse the lexer for token-granular distances
 
@@ -39,7 +38,7 @@ __all__ = [
     "statement_distance",
     "similarity",
     "expansion_weight",
-    "expand_mask",
+    "expansion_members",
     "build_mask",
     "broadcast_to_tokens",
     "repair_loss",
@@ -135,33 +134,27 @@ def _modification_sources(diff: AlignedDiff) -> list[str]:
     return sources
 
 
-def expansion_members(diff: AlignedDiff, facts: CodeFacts,
-                      unit: SourceUnit) -> set[int]:
-    """Fixed-side statements the mask expands onto (step 2 membership)."""
+def expansion_members(diff: AlignedDiff) -> set[int]:
+    """Fixed-side statements the mask expands onto (step 2 membership).
+
+    The facts are those of ``diff.fixed``, extracted only when the fix
+    modified a statement: a deletion alone adds just its anchor.
+    """
+    unit = diff.fixed
     touched = set(diff.modified)
-    members: set[int] = set()
-    for var in diff.modified_vars:
-        members |= set(facts.assignments.get(var, frozenset()))
-    for fn in diff.modified_calls:
-        if fn in facts.definitions:
-            lo, hi = facts.definitions[fn]
-            members |= set(range(lo, hi + 1))
-    for idx in touched:
-        members |= {s.index for s in same_block_statements(unit, unit.statements[idx])}
-    members |= set(diff.deletion_anchors.keys())
+    members = set(diff.deletion_anchors)
+    if touched:
+        facts = extract_facts(unit)
+        for idx in touched:
+            for var in facts.variables_by_statement[idx]:
+                members |= facts.assignments.get(var, frozenset())
+            for fn in facts.calls_by_statement[idx]:
+                if fn in facts.definitions:
+                    lo, hi = facts.definitions[fn]
+                    members.update(range(lo, hi + 1))
+            members.update(s.index for s in
+                           same_block_statements(unit, unit.statements[idx]))
     return members - touched
-
-
-def expand_mask(diff: AlignedDiff, facts: CodeFacts, unit: SourceUnit,
-                cfg: MaskConfig | None = None) -> dict[int, float]:
-    cfg = cfg or MaskConfig()
-    sources = _modification_sources(diff)
-    if not sources:
-        return {}
-    out: dict[int, float] = {}
-    for idx in sorted(expansion_members(diff, facts, unit)):
-        out[idx] = expansion_weight(unit.statements[idx], sources, cfg)
-    return out
 
 
 def _padding_value(seed: int, index: int, sigma: float) -> float:
@@ -200,8 +193,8 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
     sources = _modification_sources(diff)
 
     if cfg.strategy in ("M3", "M4") and sources:
-        for idx, w in expand_mask(diff, diff.facts, fixed, cfg).items():
-            raw[idx] = w
+        for idx in expansion_members(diff):
+            raw[idx] = expansion_weight(fixed.statements[idx], sources, cfg)
             roles[idx] = "expanded"
 
     if cfg.strategy in ("M2", "M4"):

@@ -116,25 +116,12 @@ class SourceUnit:
     block_parent: Mapping[int, int | None]
     degraded: bool = False
 
-    def code_tokens(self, statement: int | None = None) -> list[Token]:
-        """Non-comment tokens, optionally restricted to one statement."""
-        toks = [t for t in self.tokens if not t.is_comment]
-        if statement is not None:
-            toks = [t for t in toks if t.statement == statement]
-        return toks
+    def code_tokens(self) -> list[Token]:
+        """Non-comment tokens."""
+        return [t for t in self.tokens if not t.is_comment]
 
     def token_texts(self) -> list[str]:
         return [t.text for t in self.code_tokens()]
-
-    def block_path(self, block_id: int) -> list[int]:
-        """Chain of block ids from ``block_id`` up to the root."""
-        path = [block_id]
-        cur: int | None = block_id
-        while cur is not None:
-            cur = self.block_parent.get(cur)
-            if cur is not None:
-                path.append(cur)
-        return path
 
 
 @dataclass

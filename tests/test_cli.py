@@ -126,6 +126,16 @@ def test_mask_degenerate_pair_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["mask", "dataset"])
+@pytest.mark.parametrize("sigma", ["0", "1.5", "nan"])
+def test_sigma_out_of_range_is_a_usage_error(pair_files, archive, capsys, command, sigma):
+    inputs = [str(f) for f in pair_files] if command == "mask" else [str(archive)]
+    code, out, err = run_cli([command, *inputs, "--sigma", sigma, "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "repairkit: error: sigma must be in (0, 1]" in err
+
+
 def test_mask_missing_file_exits_1(tmp_path, capsys):
     code, _, err = run_cli(["mask", str(tmp_path / "a.c"), str(tmp_path / "b.c")], capsys)
     assert code == 1
@@ -308,7 +318,9 @@ def test_triage_config_file_is_honoured(tmp_path, capsys):
     assert json.loads(out)["bug_type"] == "CE"
 
 
-def test_triage_prompt_requires_meta(tmp_path, capsys):
+def test_triage_prompt_requires_meta(tmp_path, capsys, monkeypatch):
+    # the usage error comes before the submission is compiled and run
+    monkeypatch.setattr(cli, "triage_source", lambda *a: pytest.fail("triaged"))
     src = tmp_path / "sub.c"
     src.write_text(SUM_OK)
     code, _, err = run_cli(["triage", str(src), "--prompt"], capsys)
@@ -400,6 +412,17 @@ def test_repair_ngram_runs(pair_files, tmp_path, capsys):
     assert len(json.loads(out)["tokens"]) <= 30
 
 
+@pytest.mark.parametrize("backend, value", [("ngram", "0"), ("random", "-3")])
+def test_order_below_one_is_a_usage_error(pair_files, tmp_path, capsys, backend, value):
+    buggy, _ = pair_files
+    code, out, err = run_cli(
+        ["repair", str(buggy), "--backend", backend, "--train-dir", str(tmp_path),
+         "--order", value, "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--order: must be >= 1" in err
+
+
 def test_repair_bug_type_flag(pair_files, capsys):
     buggy, fixed = pair_files
     code, out, _ = run_cli(
@@ -469,6 +492,23 @@ def test_bench_jsonl_corpus(tmp_path, capsys):
     code, out, _ = run_cli(["bench", str(corpus), "--json"], capsys)
     assert code == 0
     assert json.loads(out)["programs"][0]["id"] == "x"
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("[1, 2]", "record must be a JSON object, got list"),
+    ('{"buggy_code": 5, "fixed_code": ""}', "buggy_code must be a string, got int"),
+    ('{"buggy_code": "", "fixed_code": null}', "fixed_code must be a string, got NoneType"),
+    ('{"buggy_code": ""}', "'fixed_code'"),
+    ("{not json", "Expecting property name"),
+], ids=["list", "number", "null", "missing", "not-json"])
+def test_bench_rejects_bad_records(tmp_path, capsys, line, reason):
+    corpus = tmp_path / "pairs.jsonl"
+    good = json.dumps({"pair_id": "x", "buggy_code": SUM_WRONG_OP, "fixed_code": SUM_OK})
+    corpus.write_text(good + "\n" + line + "\n")
+    code, out, err = run_cli(["bench", str(corpus), "--json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"{corpus}:2: bad repair pair record: {reason}" in err
 
 
 def test_bench_unpaired_file_exits_1(tmp_path, capsys):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repairkit.diffs import align_statements
 from repairkit.errors import DegenerateInputError
 from repairkit.mask import (PADDING_FLOOR, MaskConfig, MaskVector,
-                            broadcast_to_tokens, build_mask, expansion_weight,
-                            repair_loss, similarity, similarity_from_distance,
-                            statement_distance)
-from repairkit.source import parse
+                            broadcast_to_tokens, build_mask, expansion_members,
+                            expansion_weight, repair_loss, similarity,
+                            similarity_from_distance, statement_distance)
+from repairkit.source import extract_facts, parse
 
 from conftest import gen_program, perturb_program
 from oracles import masked_loss_ref, relatedness_ref, sim_ref, weight_ref
@@ -166,6 +167,48 @@ def test_deletion_only_pair_keeps_mass_near_the_gap():
     c_idx = next(s.index for s in unit.statements if s.text == "c = 3;")
     # the anchor statement joins the expansion set even with no replacement
     assert mask.roles[c_idx] == "expanded"
+
+
+def _member_texts(buggy, fixed):
+    diff = align_statements(buggy, fixed)
+    return {diff.fixed.statements[i].text for i in expansion_members(diff)}
+
+
+def test_assignments_to_modified_variables_expand():
+    # the root-level declarations share no block with "x = a + b;": only its
+    # variables x and a pull them in, and nothing assigns c there
+    decls = "int a = 1;\nint x;\nint c = 2;\n"
+    members = _member_texts(decls + "int main() { x = a - b; return 0; }",
+                            decls + "int main() { x = a + b; return 0; }")
+    assert members == {"int a = 1;", "int x;", "return 0;"}
+
+
+def test_definitions_of_modified_calls_expand():
+    helper = "int helper(int v) { return v; } "
+    buggy = helper + "int main() { x = helper(1); }"
+    fixed = helper + "int main() { x = helper(2); }"
+    assert _member_texts(buggy, fixed) == {"int helper(int v)", "{", "return v;", "}"}
+    mask = build_mask(buggy, fixed, MaskConfig(strategy="M4"))
+    assert mask.roles == ("expanded",) * 4 + ("padding", "padding", "modified", "padding")
+
+
+def test_facts_are_extracted_once_from_the_fixed_unit(monkeypatch):
+    # perfbench counts source.facts_calls by wrapping this module-level name
+    calls = []
+
+    def counting(unit):
+        calls.append(unit)
+        return extract_facts(unit)
+
+    monkeypatch.setattr("repairkit.mask.extract_facts", counting)
+    buggy, fixed = parse(BUGGY), parse(FIXED)
+    for strategy in ("M1", "M2"):
+        build_mask(buggy, fixed, MaskConfig(strategy=strategy))
+    # a deletion alone expands onto its anchor without any facts
+    build_mask("a = 1;\nb = 2;\nc = 3;\n", "a = 1;\nc = 3;\n", MaskConfig(strategy="M4"))
+    assert calls == []
+    build_mask(buggy, fixed, MaskConfig(strategy="M4"))
+    assert len(calls) == 1 and calls[0] is fixed
 
 
 def test_empty_fixed_side_is_degenerate():

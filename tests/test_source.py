@@ -169,7 +169,7 @@ def test_blocks_nest_and_braces_belong_outside():
     ret = by_text["return 0;"]
     assert inner.block_id != ret.block_id
     # the if-body block is nested below the function body block
-    assert ret.block_id in unit.block_path(inner.block_id)
+    assert unit.block_parent[inner.block_id] == ret.block_id
 
 
 def test_same_block_members():
