@@ -3,11 +3,11 @@
 All three satisfy the backend contract (deterministic, causal, one forward
 pass returns a greedy prediction per position) without any neural model:
 
-* :class:`TargetOracleBackend` — plays back a scripted target sequence per
-  registered prompt; the workhorse for efficiency fixtures.  A pass is one
-  prompt match and one slice of a stored prediction stream.
+* :class:`TargetOracleBackend` — plays back one scripted target sequence
+  after its one prompt; the workhorse for efficiency fixtures.  A pass is
+  one prompt check and one slice of a stored prediction stream.
 * :class:`NGramBackend` — order-n frequency model over a training corpus,
-  ties broken by lowest token id.
+  ties broken by the lowest token in sorted order.
 * :class:`SeededRandomBackend` — adversarial hash-driven predictions; every
   prefix deterministically maps to an arbitrary next token.  Used to stress
   losslessness.  A pass hashes only the positions the previous pass did not
@@ -43,61 +43,46 @@ TRAINING_PATTERNS = ("*.c", "*.txt")   # files NGramBackend.from_dir trains on
 
 
 class TargetOracleBackend:
-    """Predicts a scripted token sequence (then EOS forever) per prompt.
+    """Predicts one scripted token sequence after one prompt, then EOS forever.
 
-    Each prompt is stored with its prediction stream, the prompt's own next
-    tokens followed by the target, so a forward pass is one prompt match and
-    one slice of that stream.
+    ``script`` sets the prompt and its prediction stream, the prompt's own
+    next tokens followed by the target, so a forward pass is one prompt check
+    and one slice of that stream.  An oracle is scripted once.
     """
 
     concurrent_safe = True
 
     def __init__(self, eos_token: str = EOS):
         self.eos_token = eos_token
-        self._scripts: dict[tuple[str, ...], tuple[list[str], list[str]]] = {}
-        # (prompt, stream) pairs in sorted prompt order, for the matcher
-        self._sorted: list[tuple[list[str], list[str]]] = []
+        self.prompt: list[str] | None = None
+        self._stream: list[str] = []
 
     def script(self, prompt: Sequence[str], target: Sequence[str]) -> None:
+        if self.prompt is not None:
+            raise RepairKitError("this oracle is already scripted")
         if not prompt:
             raise DegenerateInputError("prompt must be non-empty")
-        key = tuple(prompt)
-        self._scripts[key] = (list(key), list(key[1:]) + list(target))
-        self._sorted = [self._scripts[p] for p in sorted(self._scripts)]
-
-    def _match_prompt(self, tokens: list[str]) -> list[str]:
-        """The prediction stream of the prompt that ``tokens`` matches."""
-        # a context either contains a scripted prompt (normal decoding) or is
-        # a prefix of one (probing); complete matches take precedence, the
-        # longest match wins and sorted order breaks ties between partial ones
-        n = len(tokens)
-        complete: tuple[list[str], list[str]] | None = None
-        partial: tuple[list[str], list[str]] | None = None
-        for entry in self._sorted:
-            prompt = entry[0]
-            m = len(prompt)
-            if m <= n:
-                if (complete is None or m > len(complete[0])) and tokens[:m] == prompt:
-                    complete = entry
-            elif (partial is None or m > len(partial[0])) and prompt[:n] == tokens:
-                partial = entry
-        best = complete if complete is not None else partial
-        if best is None:
-            raise RepairKitError("no scripted target matches this prompt")
-        return best[1]
+        self.prompt = list(prompt)
+        self._stream = self.prompt[1:] + list(target)
 
     def forward(self, tokens: Sequence[str]) -> list[str]:
         if not isinstance(tokens, list):
             tokens = list(tokens)
-        stream = self._match_prompt(tokens)
-        preds = stream[:len(tokens)]
-        if len(preds) < len(tokens):
-            preds += [self.eos_token] * (len(tokens) - len(preds))
+        prompt = self.prompt
+        if prompt is None:
+            raise RepairKitError("this oracle has no script")
+        n, m = len(tokens), len(prompt)
+        # a context contains the prompt (decoding) or is a prefix of it (probing)
+        if (tokens[:m] != prompt) if m <= n else (prompt[:n] != tokens):
+            raise RepairKitError("no scripted target matches this prompt")
+        preds = self._stream[:n]
+        if len(preds) < n:
+            preds += [self.eos_token] * (n - len(preds))
         return preds
 
 
 class NGramBackend:
-    """Order-n counting model; argmax with ties broken by lowest token id."""
+    """Order-n counting model; argmax with ties broken by the lowest token."""
 
     concurrent_safe = True
 
@@ -107,8 +92,6 @@ class NGramBackend:
         self.order = order
         self.eos_token = eos_token
         self._counts: dict[tuple[str, ...], Counter] = {}
-        self._vocab: list[str] = [eos_token]
-        self._ids: dict[str, int] = {eos_token: 0}
 
     @classmethod
     def from_texts(cls, texts: Iterable[str], order: int = 3,
@@ -116,7 +99,6 @@ class NGramBackend:
         model = cls(order, eos_token)
         for text in texts:
             model.add_document(parse(text).token_texts())
-        model.freeze_vocab()
         return model
 
     @classmethod
@@ -133,27 +115,18 @@ class NGramBackend:
 
     def add_document(self, tokens: Sequence[str]) -> None:
         toks = list(tokens) + [self.eos_token]
-        for t in toks:
-            if t not in self._ids:
-                self._ids[t] = len(self._vocab)
-                self._vocab.append(t)
         for n in range(self.order):
             for i in range(len(toks)):
                 ctx = tuple(toks[max(0, i - n):i])
                 if len(ctx) == n:
                     self._counts.setdefault(ctx, Counter())[toks[i]] += 1
 
-    def freeze_vocab(self) -> None:
-        # token ids are ranks in sorted vocabulary order, stable across runs
-        self._vocab = sorted(self._ids)
-        self._ids = {t: i for i, t in enumerate(self._vocab)}
-
     def _predict_one(self, context: Sequence[str]) -> str:
         for n in range(min(self.order - 1, len(context)), -1, -1):
             ctx = tuple(context[len(context) - n:])
             counter = self._counts.get(ctx)
             if counter:
-                return min(counter, key=lambda t: (-counter[t], self._ids.get(t, 1 << 30)))
+                return min(counter, key=lambda t: (-counter[t], t))
         return self.eos_token
 
     def forward(self, tokens: Sequence[str]) -> list[str]:
@@ -229,12 +202,8 @@ class SeededRandomBackend:
 
 def make_repair_oracle(buggy: Sequence[str],
                        fixed: Sequence[str]) -> TargetOracleBackend:
-    """Oracle scripted to emit the fixed tokens.
-
-    The canonical prompt is exposed as ``backend.prompt``.
-    """
+    """Oracle scripted to emit the fixed tokens after ``repair_prompt(buggy)``,
+    which it exposes as ``backend.prompt``."""
     backend = TargetOracleBackend()
-    prompt = repair_prompt(buggy)
-    backend.script(prompt, fixed)
-    backend.prompt = prompt
+    backend.script(repair_prompt(buggy), fixed)
     return backend

@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", parents=[common],
                        help="pair, filter and export a submission archive")
     p.add_argument("archive", help="archive directory or submissions JSONL")
-    p.add_argument("--max-led", type=int, default=10,
+    p.add_argument("--max-led", type=_int_at_least(0), default=10,
                    help="drop pairs whose line edit distance exceeds this (default 10)")
     p.add_argument("--stats", help="also write corpus statistics JSON here")
     _add_mask_options(p)

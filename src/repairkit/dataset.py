@@ -33,7 +33,6 @@ __all__ = [
     "pair_seed",
     "pair_mask",
     "mask_record",
-    "pair_to_record",
     "Records",
     "build_records",
     "corpus_stats",
@@ -219,18 +218,12 @@ def mask_record(pair: RepairPair, fixed_unit: SourceUnit, mask: MaskVector) -> d
     }
 
 
-def pair_to_record(pair: RepairPair, config: MaskConfig) -> dict:
-    """One corpus record: the pair plus its mask under ``config``."""
-    _, fixed_unit, mask = pair_mask(pair, config)
-    return mask_record(pair, fixed_unit, mask)
-
-
 class Records(list):
     """The corpus records of :func:`build_records`, a plain list of dicts.
 
     ``buggy_tokens`` holds the code-token count of each record's buggy file,
-    in record order, taken from the parse the mask build already made, so
-    :func:`corpus_stats` need not parse the buggy files again.
+    in record order, taken from the parse the mask build already made; it is
+    what :func:`corpus_stats` takes.
     """
 
     def __init__(self, records: list[dict], buggy_tokens: list[int]):
@@ -257,22 +250,18 @@ def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> 
     return Records(records, buggy_tokens)
 
 
-def corpus_stats(pairs: list[RepairPair],
-                 buggy_tokens: Sequence[int] | None = None) -> dict:
+def corpus_stats(pairs: list[RepairPair], buggy_tokens: Sequence[int]) -> dict:
     """Summary numbers for a paired corpus (buggy side).
 
     ``buggy_tokens`` is the code-token count of each pair's buggy file, in
-    any order (the statistics do not depend on it); pass
-    ``build_records(pairs).buggy_tokens`` to reuse the parses of the corpus
-    build.  When it is None every buggy file is parsed here.
+    any order (the statistics do not depend on it), such as
+    ``build_records(pairs).buggy_tokens``.
     """
+    if len(buggy_tokens) != len(pairs):
+        raise ValueError(f"{len(buggy_tokens)} token counts for {len(pairs)} pairs")
     if not pairs:
         return {"pairs": 0}
     lines = [len(p.buggy.code.splitlines()) for p in pairs]
-    if buggy_tokens is None:
-        buggy_tokens = [len(parse(p.buggy.code).code_tokens()) for p in pairs]
-    elif len(buggy_tokens) != len(pairs):
-        raise ValueError(f"{len(buggy_tokens)} token counts for {len(pairs)} pairs")
     verdicts: dict[str, int] = {}
     for p in pairs:
         verdicts[p.buggy.verdict] = verdicts.get(p.buggy.verdict, 0) + 1

@@ -30,9 +30,7 @@ the shortcuts below return exactly the pairs it would:
 * The character distance is at least the length difference, which bounds
   the diagonal from below.  A cell of the table skips the substitution cost
   when that bound already reaches the best indel step: the cell then holds
-  the indel cost, the same float the min would give.  The traceback skips
-  it when the bound passes the cell's value by more than 1e-9, where it
-  can change no tie test at 1e-12.
+  the indel cost, the same float the min would give.
 
 ``levenshtein`` is the exact unit-cost edit distance, computed with the
 bit-parallel kernel of Myers (JACM 1999) in the global-distance form given
@@ -48,7 +46,6 @@ hashable: the characters of a string, tokens or lines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -113,13 +110,6 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return dist
 
 
-def _substitution_cost(a: str, b: str) -> float:
-    if a == b:
-        return 0.0
-    denom = max(len(a), len(b), 1)
-    return levenshtein(a, b) / denom
-
-
 class AlignPair(NamedTuple):
     """One aligned step: op is 'match', 'replace', 'insert' or 'delete'.
 
@@ -145,20 +135,6 @@ class AlignedDiff:
         return all(p.op == "match" for p in self.pairs)
 
 
-def _diagonal(d: float, x: str, y: str, bound: float) -> float:
-    """``d`` plus the cost of substituting ``y`` for ``x``, or inf when that
-    provably exceeds ``bound`` by more than 1e-9.
-
-    The character distance is at least the length difference, so when
-    ``|len(x) - len(y)| / denom`` alone passes ``bound - d`` the Levenshtein
-    call cannot change a min against ``bound`` or a tie test at 1e-12.
-    """
-    denom = max(len(x), len(y), 1)
-    if abs(len(x) - len(y)) > int((bound - d + 1e-9) * denom):
-        return math.inf
-    return d + _substitution_cost(x, y)
-
-
 def _align_pairs(a: list[str], b: list[str]) -> list[AlignPair]:
     n, m = len(a), len(b)
     suffix = 0
@@ -182,7 +158,7 @@ def _align_pairs(a: list[str], b: list[str]) -> list[AlignPair]:
         x = a[p + i - 1]
         len_x = len(x)
         for d, up, y, len_y in zip(prev_row, prev_row[1:], b_mid, b_lens):
-            # min(min(up, left) + 1.0, d + _substitution_cost(x, y))
+            # min(min(up, left) + 1.0, d + the substitution cost of y for x)
             indel = (left if left < up else up) + 1.0
             denom = (len_x if len_x > len_y else len_y) or 1
             if d + abs(len_x - len_y) / denom >= indel:
@@ -198,7 +174,9 @@ def _align_pairs(a: list[str], b: list[str]) -> list[AlignPair]:
     i, j = rows, cols
     while i > 0 and j > 0:
         x, y = a[p + i - 1], b[p + j - 1]
-        diag = _diagonal(cost[i - 1][j - 1], x, y, cost[i][j])
+        diag = cost[i - 1][j - 1]
+        if x != y:
+            diag += levenshtein(x, y) / max(len(x), len(y), 1)
         if abs(cost[i][j] - diag) < 1e-12:
             op = "match" if x == y else "replace"
             pairs.append(AlignPair(op, p + i - 1, p + j - 1))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import re
 import resource
@@ -59,8 +60,11 @@ class ExecutorConfig:
     max_output_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0 or self.compile_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
+        for timeout in (self.timeout_s, self.compile_timeout_s):
+            # nan fails every comparison, so it would pass a plain `<= 0` test;
+            # nan or inf would turn the limit off
+            if not (math.isfinite(timeout) and timeout > 0):
+                raise ValueError("timeouts must be positive and finite")
         if self.max_output_bytes <= 0:
             raise ValueError("max_output_bytes must be positive")
         if "{src}" not in self.compiler_cmd or "{out}" not in self.compiler_cmd:
@@ -260,20 +264,35 @@ class ProblemMeta:
 def load_problem_meta(path: str | Path) -> ProblemMeta:
     """Load problem metadata from its JSON file."""
     data = json.loads(Path(path).read_text())
+
+    def bad(why: str) -> RepairKitError:
+        return RepairKitError(f"{path}: bad problem meta: {why}")
+
+    if not isinstance(data, dict):
+        raise bad("not a JSON object")
     if "problem_id" not in data:
-        raise RepairKitError(f"{path}: missing problem_id")
-    examples = tuple(
-        (ex["in"], ex["out"]) for ex in data.get("example_ios", ())
-    )
-    tests = tuple(
-        TestCase(input=t["in"], expected=t["expected"]) for t in data.get("tests", ())
-    )
+        raise bad("missing problem_id")
+    for key in ("description", "io_format"):
+        if not isinstance(data.get(key, ""), str):
+            raise bad(f"{key} is not a string")
+
+    def strings(key: str, fields: tuple[str, str]) -> list[tuple[str, str]]:
+        """The ``fields`` of each object in ``data[key]``, which must be strings."""
+        items = data.get(key, [])
+        if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+            raise bad(f"{key} is not a list of objects")
+        for i, item in enumerate(items):
+            for name in fields:
+                if not isinstance(item.get(name), str):
+                    raise bad(f"{key}[{i}].{name} is missing or not a string")
+        return [(item[fields[0]], item[fields[1]]) for item in items]
+
     return ProblemMeta(
         problem_id=str(data["problem_id"]),
         description=data.get("description", ""),
         io_format=data.get("io_format", ""),
-        example_ios=examples,
-        tests=tests,
+        example_ios=tuple(strings("example_ios", ("in", "out"))),
+        tests=tuple(TestCase(*t) for t in strings("tests", ("in", "expected"))),
     )
 
 

@@ -193,28 +193,17 @@ def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[st
     return out
 
 
-def oracle_forward_ref(scripts: list[tuple[list[str], list[str]]], eos: str,
+def oracle_forward_ref(prompt: list[str], target: list[str], eos: str,
                        tokens: list[str]) -> list[str]:
-    """``TargetOracleBackend.forward`` after ``script(p, t)`` for each pair.
+    """``TargetOracleBackend.forward`` after ``script(prompt, target)``.
 
-    The prompt matcher walks every prompt in sorted order and the predictions
-    are built one position at a time; the library slices a stored stream.
-    A later script of the same prompt replaces the earlier one.
+    The context is checked token by token and the predictions are built one
+    position at a time; the library compares slices and slices a stored
+    stream.
     """
-    targets = {tuple(p): tuple(t) for p, t in scripts}
-    complete = partial = None
-    for prompt in sorted(targets):
-        if len(prompt) <= len(tokens):
-            if tuple(tokens[:len(prompt)]) == prompt:
-                if complete is None or len(prompt) > len(complete):
-                    complete = prompt
-        elif prompt[:len(tokens)] == tuple(tokens):
-            if partial is None or len(prompt) > len(partial):
-                partial = prompt
-    prompt = complete if complete is not None else partial
-    if prompt is None:
-        raise RepairKitError("no scripted target matches this prompt")
-    target = targets[prompt]
+    for i, tok in enumerate(tokens[:len(prompt)]):
+        if tok != prompt[i]:
+            raise RepairKitError("no scripted target matches this prompt")
     preds = []
     for i in range(len(tokens)):
         pos = i + 1 - len(prompt)

@@ -43,19 +43,28 @@ def test_oracle_predicts_the_prompt_itself():
     assert backend.forward(["p", "q"])[-1] == "r"
 
 
-def test_oracle_longest_prefix_wins():
-    backend = TargetOracleBackend()
-    backend.script(["p"], ["short"])
-    backend.script(["p", "q"], ["long"])
-    assert backend.forward(["p", "q"])[-1] == "long"
-    assert backend.forward(["p"])[-1] == "short"
-
-
 def test_oracle_rejects_unknown_prompts():
     backend = TargetOracleBackend()
     backend.script(["p"], ["x"])
     with pytest.raises(RepairKitError):
         backend.forward(["z", "z"])
+
+
+def test_oracle_rejects_a_second_script():
+    backend = TargetOracleBackend()
+    backend.script(["p"], ["x"])
+    with pytest.raises(RepairKitError, match="already scripted"):
+        backend.script(["q"], ["y"])
+    assert backend.prompt == ["p"]
+    assert backend.forward(["p"])[-1] == "x"
+
+
+def test_unscripted_oracle_rejects_every_context():
+    backend = TargetOracleBackend()
+    assert backend.prompt is None
+    for ctx in ([], ["p"]):
+        with pytest.raises(RepairKitError, match="no script"):
+            backend.forward(ctx)
 
 
 def test_oracle_rejects_empty_prompt():
@@ -80,43 +89,22 @@ def _outcome(forward, tokens):
 _TOKS = st.sampled_from(["a", "b", "c"])
 
 
-@st.composite
-def _scripts(draw):
-    """1-3 (prompt, target) pairs; besides the first prompt, each other one is
-    its equal-length sibling (same tokens but the last), an extension of it,
-    a prefix of it or unrelated."""
-    base = draw(st.lists(_TOKS, min_size=1, max_size=4))
-    prompts = [base]
-    for kind in draw(st.lists(st.sampled_from(["sibling", "extend", "prefix", "any"]),
-                              max_size=2)):
-        if kind == "sibling":
-            prompts.append(base[:-1] + [draw(_TOKS)])
-        elif kind == "extend":
-            prompts.append(base + draw(st.lists(_TOKS, min_size=1, max_size=3)))
-        elif kind == "prefix":
-            prompts.append(base[:draw(st.integers(1, len(base)))])
-        else:
-            prompts.append(draw(st.lists(_TOKS, min_size=1, max_size=5)))
-    targets = st.lists(st.sampled_from(["x", "y", "a", EOS]), max_size=4)
-    return [(p, draw(targets)) for p in prompts]
-
-
 @settings(max_examples=300, deadline=None)
-@given(_scripts(), st.lists(_TOKS, max_size=4))
-@example([(["p", "b"], ["x"]), (["p", "a"], ["y"])], [])     # tie: sorted order
-@example([(["p"], ["x"]), (["p", "q", "r"], ["y"])], ["z"])  # complete beats partial
-def test_oracle_matches_the_reference(scripts, tail):
+@given(st.lists(_TOKS, min_size=1, max_size=4),
+       st.lists(st.sampled_from(["x", "y", "a", EOS]), max_size=4),
+       st.lists(_TOKS, max_size=4))
+@example(["p", "q"], ["x"], [])
+def test_oracle_matches_the_reference(prompt, target, tail):
     backend = TargetOracleBackend()
-    for prompt, target in scripts:
-        backend.script(prompt, target)
+    backend.script(prompt, target)
     contexts = [tail]
-    for prompt, _ in scripts:
-        contexts += [prompt[:n] for n in range(1, len(prompt) + 1)]
-        contexts.append(prompt + tail)
-        contexts.append(prompt + ["y"] + tail)
+    contexts += [prompt[:n] for n in range(1, len(prompt) + 1)]
+    contexts.append(prompt + tail)
+    contexts.append(prompt + ["y"] + tail)
+    contexts += [prompt[:n - 1] + ["z"] for n in range(1, len(prompt) + 1)]
     for ctx in contexts:
         assert _outcome(backend.forward, ctx) == \
-            _outcome(lambda t: oracle_forward_ref(scripts, EOS, t), ctx)
+            _outcome(lambda t: oracle_forward_ref(prompt, target, EOS, t), ctx)
     assert _outcome(backend.forward, ["z"] + tail) == "no match"
 
 
@@ -134,22 +122,20 @@ def test_ngram_tie_breaks_by_sorted_vocab_id():
     model = NGramBackend(order=2)
     model.add_document(["x", "b"])
     model.add_document(["x", "a"])
-    model.freeze_vocab()
-    # both continuations seen once: the alphabetically first token wins
+    # both continuations seen once, "b" first: the alphabetically first
+    # token wins, with no step that ranks the vocabulary
     assert model.forward(["x"])[-1] == "a"
 
 
 def test_ngram_backs_off_to_shorter_contexts():
     model = NGramBackend(order=3)
     model.add_document(["x", "y", "z"])
-    model.freeze_vocab()
     # ("q", "y") never seen; ("y",) predicts "z"
     assert model.forward(["q", "y"])[-1] == "z"
 
 
 def test_ngram_empty_model_emits_eos():
     model = NGramBackend(order=2)
-    model.freeze_vocab()
     assert model.forward(["anything"])[-1] == EOS
 
 
@@ -171,7 +157,6 @@ def test_ngram_matches_the_whole_prefix_reference(order, docs, tokens):
     model = NGramBackend(order=order)
     for doc in docs:
         model.add_document(doc)
-    model.freeze_vocab()
     assert model.forward(tokens) == ngram_forward_ref(model, tokens)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -261,6 +262,15 @@ def test_dataset_counts_dropped_pairs(tmp_path, capsys):
     assert len(out_file.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["-1", "-10"])
+def test_negative_max_led_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "load_archive", lambda *a: pytest.fail("archive read"))
+    code, _, err = run_cli(["dataset", str(tmp_path / "missing"), "--max-led", value],
+                           capsys)
+    assert code == 2
+    assert "--max-led: must be >= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # triage
 
@@ -348,6 +358,48 @@ def test_triage_bad_meta_exits_1(tmp_path, capsys):
     broken.write_text("{not json")
     code, _, _ = run_cli(["triage", str(src), "--meta", str(broken)], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("meta, reason", [
+    (["p1"], "not a JSON object"),
+    ({"problem_id": "p1", "tests": {"in": "1\n", "expected": "1\n"}},
+     "tests is not a list of objects"),
+    ({"problem_id": "p1", "example_ios": ["1 2"]},
+     "example_ios is not a list of objects"),
+    ({"problem_id": "p1", "tests": [{"in": "1\n"}]},
+     r"tests\[0\]\.expected is missing or not a string"),
+    ({"problem_id": "p1", "tests": [{"in": 3, "expected": "3\n"}]},
+     r"tests\[0\]\.in is missing or not a string"),
+    ({"problem_id": "p1", "example_ios": [{"in": "1\n", "out": "1\n"}, {"in": "2\n"}]},
+     r"example_ios\[1\]\.out is missing or not a string"),
+    ({"problem_id": "p1", "example_ios": [{"in": None, "out": "1\n"}]},
+     r"example_ios\[0\]\.in is missing or not a string"),
+    ({"problem_id": "p1", "description": 5}, "description is not a string"),
+], ids=["not-object", "tests-not-list", "example-not-object", "test-no-expected",
+        "test-in-number", "example-no-out", "example-in-null", "description-number"])
+def test_triage_malformed_meta_exits_1(tmp_path, capsys, monkeypatch, meta, reason):
+    monkeypatch.setattr(cli, "triage_source", lambda *a: pytest.fail("triaged"))
+    src = tmp_path / "sub.c"
+    src.write_text(SUM_OK)
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps(meta))
+    code, _, err = run_cli(["triage", str(src), "--meta", str(path), "--prompt"],
+                           capsys)
+    assert code == 1
+    assert re.search(f"meta.json: bad problem meta: {reason}", err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["timeout_s = nan", "compile_timeout_s = inf"])
+def test_triage_non_finite_timeout_in_config_exits_1(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.setattr(cli, "triage_source", lambda *a: pytest.fail("triaged"))
+    src = tmp_path / "sub.c"
+    src.write_text(SUM_OK)
+    config = tmp_path / "executor.conf"
+    config.write_text(line + "\n")
+    code, _, err = run_cli(["triage", str(src), "--config", str(config)], capsys)
+    assert code == 1
+    assert "timeouts must be positive and finite" in err
 
 
 # ---------------------------------------------------------------------------

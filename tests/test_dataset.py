@@ -16,10 +16,10 @@ from repairkit.dataset import (
     load_archive,
     pair_seed,
     pair_submissions,
-    pair_to_record,
 )
 from repairkit.errors import RepairKitError
 from repairkit.mask import MaskConfig
+from repairkit.source import parse
 
 from conftest import SUM_EXTRA_WS, SUM_OK, SUM_WRONG_OP, write_archive
 
@@ -201,7 +201,7 @@ def test_pair_seed_mixes_both_inputs():
 
 def test_record_shape():
     pair = _pair(SUM_WRONG_OP, SUM_OK)
-    rec = pair_to_record(pair, MaskConfig(strategy="M4", rng_seed=3))
+    rec = build_records([pair], MaskConfig(strategy="M4", rng_seed=3))[0]
     assert rec["pair_id"] == pair.pair_id
     assert rec["strategy"] == "M4"
     assert rec["seed"] == pair_seed(3, pair.pair_id)
@@ -229,13 +229,13 @@ def test_corpus_stats():
         _pair(SUM_WRONG_OP, SUM_OK),
         _pair(SUM_EXTRA_WS, SUM_OK, pid="p2/s2/100"),
     ]
-    stats = corpus_stats(pairs)
+    stats = corpus_stats(pairs, build_records(pairs).buggy_tokens)
     assert stats["pairs"] == 2
     assert stats["problems"] == 2
     assert stats["students"] == 2
     assert stats["avg_lines"] == pytest.approx(7.0)
     assert stats["verdicts"] == {"WA": 2}
-    assert corpus_stats([]) == {"pairs": 0}
+    assert corpus_stats([], []) == {"pairs": 0}
 
 
 def test_corpus_stats_takes_given_token_counts():
@@ -243,9 +243,11 @@ def test_corpus_stats_takes_given_token_counts():
         _pair(SUM_WRONG_OP, SUM_OK),
         _pair(SUM_EXTRA_WS, SUM_OK, pid="p2/s2/100"),
     ]
-    records = build_records(pairs)
-    assert corpus_stats(pairs, records.buggy_tokens) == corpus_stats(pairs)
+    parsed = [len(parse(p.buggy.code).code_tokens()) for p in pairs]
+    assert build_records(pairs).buggy_tokens == tuple(parsed)
     stats = corpus_stats(pairs, [10, 30])
     assert (stats["avg_tokens"], stats["median_tokens"]) == (20.0, 20.0)
     with pytest.raises(ValueError):
         corpus_stats(pairs, [10])
+    with pytest.raises(ValueError):
+        corpus_stats([], [10])

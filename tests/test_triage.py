@@ -208,6 +208,14 @@ def test_config_validation(kwargs):
         ExecutorConfig(**kwargs)
 
 
+@pytest.mark.parametrize("key", ["timeout_s", "compile_timeout_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_config_rejects_non_finite_timeouts(key, value):
+    # a nan or inf limit would let a hanging program run unbounded
+    with pytest.raises(ValueError, match="finite"):
+        ExecutorConfig(**{key: value})
+
+
 # ---------------------------------------------------------------------------
 # problem metadata and prompts
 
