@@ -32,7 +32,7 @@ def run_cell(length: int, regions: int, seed: int) -> dict:
     limits = DecodeLimits(max_tokens=length + 8)
     ar = ar_decode(backend, prompt, limits.max_tokens)
     acc = accelerated_decode(backend, prompt, source, limits)
-    report = compute_metrics(ar, acc, time_source="sim")
+    report = compute_metrics(ar, acc)
     return {
         "length": length,
         "regions": regions,

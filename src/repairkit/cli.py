@@ -8,8 +8,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error or degenerate
 input, 3 backend contract or losslessness violation.
 
 Machine outputs never include wall-clock readings, so a command rerun with
-the same ``--seed`` produces byte-identical artifacts (``bench --time wall``
-opts out of that guarantee).
+the same ``--seed`` produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from .backends import (EOS, NGramBackend, SeededRandomBackend,
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, mask_record, pair_mask,
                       pair_submissions)
-from .decoding import (DecodeLimits, DecodeResult, DraftSource,
-                       accelerated_decode, aggregate_reports, ar_decode,
-                       compute_metrics, probe_backend, repair_prompt)
+from .decoding import (DecodeLimits, DraftSource, accelerated_decode,
+                       aggregate_reports, ar_decode, compute_metrics,
+                       probe_backend, repair_prompt)
 from .errors import (BackendContractError, DegenerateInputError,
                      LosslessnessError, RepairKitError)
 from .mask import MaskConfig
@@ -228,12 +227,6 @@ def _build_backend(args: argparse.Namespace, prompt: list[str],
     return SeededRandomBackend(args.seed, vocab)
 
 
-def _stats_dict(result: DecodeResult) -> dict:
-    d = asdict(result.stats)
-    d.pop("wall_time")  # keep machine output reproducible
-    return d
-
-
 def cmd_repair(args: argparse.Namespace) -> int:
     buggy_tokens = list(parse(Path(args.source).read_text()).token_texts())
     prompt = repair_prompt(buggy_tokens, args.bug_type)
@@ -252,13 +245,13 @@ def cmd_repair(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "backend": args.backend,
         "truncated": result.truncated,
-        "stats": _stats_dict(result),
+        "stats": asdict(result.stats),
     }
     if args.compare:
         other = (accelerated_decode(backend, prompt, source, limits)
                  if args.mode == "ar" else ar_decode(backend, prompt, limits.max_tokens))
         ar_res, acc_res = (result, other) if args.mode == "ar" else (other, result)
-        report = compute_metrics(ar_res, acc_res, time_source="sim")
+        report = compute_metrics(ar_res, acc_res)
         payload["metrics"] = report.as_dict()
 
     out_tokens = list(result.tokens)
@@ -334,12 +327,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         source = DraftSource.from_tokens(buggy_tokens)
         ar_res = ar_decode(backend, prompt, limits.max_tokens)
         acc_res = accelerated_decode(backend, prompt, source, limits)
-        report = compute_metrics(ar_res, acc_res, time_source=args.time)
+        report = compute_metrics(ar_res, acc_res)
         reports.append(report)
         programs.append({"id": pid, **report.as_dict()})
 
     payload = {
-        "time_source": args.time,
         "programs": programs,
         "aggregate": aggregate_reports(reports),
     }
@@ -383,11 +375,11 @@ def _int_at_least(low: int):
 
 
 def _add_decode_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-tokens", type=_int_at_least(1), default=4192,
-                   help="hard cap on generated tokens (default 4192)")
-    p.add_argument("--fallback-run", type=_int_at_least(0), default=5,
+    p.add_argument("--max-tokens", type=_int_at_least(1), default=DecodeLimits.max_tokens,
+                   help="hard cap on generated tokens (default %(default)s)")
+    p.add_argument("--fallback-run", type=_int_at_least(0), default=DecodeLimits.fallback_run,
                    help="first greedy run after a draft miss; doubles while the "
-                        "model ignores the draft (default 5)")
+                        "model ignores the draft (default %(default)s)")
     p.add_argument("--probe", action="store_true",
                    help="check backend determinism/causality before decoding")
 
@@ -454,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="decode efficiency over a corpus of repair pairs")
     p.add_argument("corpus", help="corpus JSONL or directory of *.buggy.c/*.fixed.c")
-    p.add_argument("--time", choices=("sim", "wall"), default="sim",
-                   help="timing source for speedup (default: simulated cost)")
     p.add_argument("--limit", type=_int_at_least(1), help="bench only the first N pairs")
     _add_decode_options(p)
     p.set_defaults(func=cmd_bench)

@@ -102,7 +102,10 @@ def _load_tree(root: Path) -> list[Submission]:
     manifest_path = root / "verdicts.json"
     if not manifest_path.is_file():
         raise RepairKitError(f"{root}: missing verdicts.json manifest")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise RepairKitError(f"{manifest_path}: bad manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise RepairKitError(f"{manifest_path}: manifest must map paths to verdicts")
     subs = []

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import asdict, dataclass
-from time import perf_counter
 from typing import Protocol, Sequence
 
 from .errors import BackendContractError, DegenerateInputError, LosslessnessError
@@ -104,7 +103,6 @@ class DecodeStats:
     draft_accepted: int = 0
     corrections: int = 0
     ar_fallback_tokens: int = 0
-    wall_time: float = 0.0
     sim_cost: float = 0.0
 
 
@@ -206,7 +204,7 @@ def _dyn_cost(stats: DecodeStats, model_cost: CostModel, n: int) -> None:
 
 
 def ar_decode(model: ModelBackend, prompt: Sequence[str],
-              max_tokens: int = 4192,
+              max_tokens: int = DecodeLimits.max_tokens,
               cost_model: CostModel = DEFAULT_COST) -> DecodeResult:
     """Plain greedy decoding: one forward pass per emitted token."""
     if not prompt:
@@ -217,7 +215,6 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
     ctx = list(prompt)
     out: list[str] = []
     stats = DecodeStats()
-    t0 = perf_counter()
     while len(out) < max_tokens:
         preds = _forward(model, ctx)
         _dyn_cost(stats, cost_model, len(ctx))
@@ -228,7 +225,6 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
         stats.ar_fallback_tokens += 1
         if tok == eos:
             break
-    stats.wall_time = perf_counter() - t0
     return DecodeResult(out, stats, truncated=(not out or out[-1] != eos))
 
 
@@ -268,7 +264,6 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     stats = DecodeStats()
     anchor = 0
     bridge = limits.fallback_run
-    t0 = perf_counter()
 
     while len(out) < cap and not (out and out[-1] == eos):
         draft, anchor = draft_generate(source, out, anchor)
@@ -318,7 +313,6 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             bridge = bridge * 2 if stalled else limits.fallback_run
 
     stats.tokens_emitted = len(out)
-    stats.wall_time = perf_counter() - t0
     return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))
 
 
@@ -339,6 +333,10 @@ def probe_backend(model: ModelBackend, sample: Sequence[str]) -> None:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
+    """Accelerated-vs-greedy efficiency of one program.  ``speedup``,
+    ``tokens_per_s`` and ``avg_time`` are in :class:`CostModel` simulated
+    units (``DecodeStats.sim_cost``), not seconds."""
+
     tokens: int
     forward_passes_ar: int
     forward_passes_acc: int
@@ -346,31 +344,27 @@ class EfficiencyReport:
     speedup: float
     tokens_per_s: float
     avg_time: float
-    time_source: str = "wall"
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def _time_of(result: DecodeResult, source: str) -> float:
-    t = result.stats.wall_time if source == "wall" else result.stats.sim_cost
-    return max(t, 1e-12)
-
-
 def compute_metrics(ar: DecodeResult, acc: DecodeResult,
-                    time_source: str = "wall") -> EfficiencyReport:
+                    time_source: str = "sim") -> EfficiencyReport:
     """Efficiency of the accelerated run relative to the AR baseline.
 
-    Refuses to report when the two runs disagree on a single token."""
+    Refuses to report when the two runs disagree on a single token.
+    ``time_source`` must be ``"sim"``; it stays only for the perfbench
+    ``repair`` workload and the acceptance test, which still pass it."""
     if ar.tokens != acc.tokens:
         raise LosslessnessError(
             "accelerated output differs from autoregressive output "
             f"({len(ar.tokens)} vs {len(acc.tokens)} tokens)"
         )
-    if time_source not in ("wall", "sim"):
+    if time_source != "sim":
         raise ValueError(f"unknown time source {time_source!r}")
-    t_ar = _time_of(ar, time_source)
-    t_acc = _time_of(acc, time_source)
+    t_ar = max(ar.stats.sim_cost, 1e-12)
+    t_acc = max(acc.stats.sim_cost, 1e-12)
     return EfficiencyReport(
         tokens=len(acc.tokens),
         forward_passes_ar=ar.stats.forward_passes,
@@ -379,7 +373,6 @@ def compute_metrics(ar: DecodeResult, acc: DecodeResult,
         speedup=t_ar / t_acc,
         tokens_per_s=acc.stats.tokens_emitted / t_acc,
         avg_time=t_acc,
-        time_source=time_source,
     )
 
 

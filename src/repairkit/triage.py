@@ -50,6 +50,11 @@ class BugType(enum.Enum):
         return self.value
 
 
+# ExecutorConfig.from_file's keys and how each value is converted
+_CONFIG_TYPES = {"compiler_cmd": str, "timeout_s": float,
+                 "compile_timeout_s": float, "max_output_bytes": int}
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Knobs for the sandboxed compile-and-run step."""
@@ -82,15 +87,17 @@ class ExecutorConfig:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key == "compiler_cmd":
-                kwargs[key] = value
-            elif key in ("timeout_s", "compile_timeout_s"):
-                kwargs[key] = float(value)
-            elif key == "max_output_bytes":
-                kwargs[key] = int(value)
-            else:
+            convert = _CONFIG_TYPES.get(key)
+            if convert is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        return cls(**kwargs)  # type: ignore[arg-type]
+            try:
+                kwargs[key] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
+        try:
+            return cls(**kwargs)  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -263,11 +270,13 @@ class ProblemMeta:
 
 def load_problem_meta(path: str | Path) -> ProblemMeta:
     """Load problem metadata from its JSON file."""
-    data = json.loads(Path(path).read_text())
-
-    def bad(why: str) -> RepairKitError:
+    def bad(why: object) -> RepairKitError:
         return RepairKitError(f"{path}: bad problem meta: {why}")
 
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise bad(exc) from exc
     if not isinstance(data, dict):
         raise bad("not a JSON object")
     if "problem_id" not in data:

@@ -226,6 +226,16 @@ def test_dataset_rejects_non_string_code(tmp_path, capsys, code):
     assert "Traceback" not in err
 
 
+def test_dataset_unparsable_manifest_names_its_file(archive, capsys):
+    manifest = archive / "verdicts.json"
+    manifest.write_text("{bad")
+    code, out, err = run_cli(["dataset", str(archive)], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"{manifest}: bad manifest: Expecting property name" in err
+    assert "Traceback" not in err
+
+
 def test_dataset_without_pairs_exits_2(tmp_path, capsys):
     root = tmp_path / "solved"
     root.mkdir()
@@ -356,8 +366,10 @@ def test_triage_bad_meta_exits_1(tmp_path, capsys):
     src.write_text(SUM_OK)
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    code, _, _ = run_cli(["triage", str(src), "--meta", str(broken)], capsys)
+    code, _, err = run_cli(["triage", str(src), "--meta", str(broken)], capsys)
     assert code == 1
+    assert f"{broken}: bad problem meta: Expecting property name" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("meta, reason", [
@@ -400,6 +412,20 @@ def test_triage_non_finite_timeout_in_config_exits_1(tmp_path, capsys, monkeypat
     code, _, err = run_cli(["triage", str(src), "--config", str(config)], capsys)
     assert code == 1
     assert "timeouts must be positive and finite" in err
+
+
+@pytest.mark.parametrize("line, key", [("timeout_s = fast", "timeout_s"),
+                                       ("max_output_bytes = 1.5", "max_output_bytes")])
+def test_triage_bad_config_value_names_its_line(tmp_path, capsys, monkeypatch, line, key):
+    monkeypatch.setattr(cli, "triage_source", lambda *a: pytest.fail("triaged"))
+    src = tmp_path / "sub.c"
+    src.write_text(SUM_OK)
+    config = tmp_path / "executor.conf"
+    config.write_text("# limits\n" + line + "\n")
+    code, _, err = run_cli(["triage", str(src), "--config", str(config)], capsys)
+    assert code == 1
+    assert f"{config}:2: {key}: " in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -192,9 +193,7 @@ def _run_spied(decode, backend, prompt, buggy, limits):
     real = decoding.draft_generate
     with mock.patch.object(decoding, "draft_generate", spy):
         res = decode(backend, prompt, buggy, limits)
-    stats = asdict(res.stats)
-    del stats["wall_time"]
-    return res.tokens, res.truncated, stats, calls
+    return res.tokens, res.truncated, asdict(res.stats), calls
 
 
 def _check_against_reference(backend, prompt, buggy, limits):
@@ -357,12 +356,16 @@ def test_stats_invariants_on_random_models(seed, fallback):
     assert s.forward_passes >= 1
 
 
-def _fuzz_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "fuzz_losslessness.py"
-    spec = importlib.util.spec_from_file_location("fuzz_losslessness", path)
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _fuzz_script():
+    return _script("fuzz_losslessness")
 
 
 @pytest.mark.parametrize("argv", [["--trials", "-5"], ["--trials", "0"],
@@ -377,6 +380,18 @@ def test_fuzz_script_rejects_out_of_range_options(argv, capsys):
 def test_fuzz_script_passes_a_short_run(capsys):
     assert _fuzz_script().main(["--trials", "40", "--max-draft", "60"]) == 0
     assert "40 trials lossless" in capsys.readouterr().out
+
+
+def test_scaling_script_writes_its_rows(tmp_path, capsys):
+    out = tmp_path / "rows.json"
+    argv = ["--lengths", "200", "--regions", "1,2", "--json", str(out)]
+    assert _script("run_scaling_experiment").main(argv) == 0
+    rows = json.loads(out.read_text())
+    assert [set(row) for row in rows] == [{
+        "length", "regions", "forward_passes_ar", "forward_passes_acc",
+        "step_efficiency", "speedup"}] * 2
+    assert [row["forward_passes_acc"] for row in rows] == [9, 17]
+    assert "wrote 2 rows" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -508,20 +523,26 @@ def test_probe_rejects_noncausal_predictions():
 
 def _result(tokens, passes, sim):
     stats = DecodeStats(forward_passes=passes, tokens_emitted=len(tokens),
-                        ar_fallback_tokens=len(tokens), wall_time=0.5,
-                        sim_cost=sim)
+                        ar_fallback_tokens=len(tokens), sim_cost=sim)
     return DecodeResult(list(tokens), stats, truncated=False)
 
 
 def test_compute_metrics_ratios():
     ar = _result(["a", "b", EOS], passes=3, sim=3.0)
     acc = _result(["a", "b", EOS], passes=1, sim=1.5)
-    rep = compute_metrics(ar, acc, time_source="sim")
+    rep = compute_metrics(ar, acc)
     assert rep.tokens == 3
     assert rep.step_efficiency == pytest.approx(3.0)
     assert rep.speedup == pytest.approx(2.0)
     assert rep.tokens_per_s == pytest.approx(3 / 1.5)
-    assert rep.time_source == "sim"
+    assert rep.avg_time == pytest.approx(1.5)
+
+
+def test_compute_metrics_accepts_only_sim():
+    res = _result(["a", EOS], 2, 2.0)
+    assert compute_metrics(res, res, time_source="sim") == compute_metrics(res, res)
+    with pytest.raises(ValueError, match="unknown time source 'wall'"):
+        compute_metrics(res, res, time_source="wall")
 
 
 def test_compute_metrics_requires_identical_tokens():
@@ -532,10 +553,8 @@ def test_compute_metrics_requires_identical_tokens():
 
 
 def test_aggregate_is_a_mean_of_ratios():
-    r1 = compute_metrics(_result(["a", EOS], 2, 2.0), _result(["a", EOS], 1, 1.0),
-                         time_source="sim")
-    r2 = compute_metrics(_result(["b", EOS], 4, 4.0), _result(["b", EOS], 1, 1.0),
-                         time_source="sim")
+    r1 = compute_metrics(_result(["a", EOS], 2, 2.0), _result(["a", EOS], 1, 1.0))
+    r2 = compute_metrics(_result(["b", EOS], 4, 4.0), _result(["b", EOS], 1, 1.0))
     agg = aggregate_reports([r1, r2])
     assert agg["mean_step_efficiency"] == pytest.approx((2 + 4) / 2)
     assert agg["programs"] == 2
