@@ -8,11 +8,13 @@ because it feeds a repair prompt, not a grading pipeline.
 from __future__ import annotations
 
 import enum
+import errno
 import json
 import math
 import os
 import re
 import resource
+import select
 import shlex
 import signal
 import subprocess
@@ -20,6 +22,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import RepairKitError
 
@@ -150,8 +153,15 @@ def normalize_output(text: str) -> str:
     return "\n".join(lines)
 
 
+# names gcc gives the temporary objects it links (``ccXXXXXX.o``); with
+# TMPDIR set to the jail they land there instead of in /tmp
+_TEMP_OBJECT = r"\w+\.o\b"
+
+
 def _scrub(text: str, jail: Path) -> str:
-    # keep diagnostics reproducible across runs: drop the tempdir prefix
+    # keep diagnostics reproducible across runs: name every temporary object
+    # main.o, then drop the tempdir prefix
+    text = re.sub(re.escape(str(jail) + os.sep) + _TEMP_OBJECT, "main.o", text)
     return text.replace(str(jail) + os.sep, "").replace(str(jail), "")
 
 
@@ -166,6 +176,7 @@ def compile_source(code: str, config: ExecutorConfig, jail: Path) -> tuple[bool,
             capture_output=True,
             timeout=config.compile_timeout_s,
             cwd=jail,
+            env={**os.environ, "TMPDIR": str(jail)},
         )
     except subprocess.TimeoutExpired:
         return False, "compiler timed out", out
@@ -175,33 +186,75 @@ def compile_source(code: str, config: ExecutorConfig, jail: Path) -> tuple[bool,
     return proc.returncode == 0, _scrub(diag, jail), out
 
 
+_PLATFORM = "triage needs Linux >= 5.3 (os.pidfd_open and resource.prlimit)"
+
+
+def _exits_within(pid: int, timeout_s: float) -> bool:
+    """Block until process ``pid`` exits or ``timeout_s`` passes; True if it exited.
+
+    Wakes as soon as the process ends, where ``Popen.wait(timeout=)`` would
+    sleep up to 50 ms between checks.  Does not reap the process.
+    """
+    try:
+        fd = os.pidfd_open(pid)
+    except OSError as exc:
+        if exc.errno in (errno.ENOSYS, errno.EPERM):
+            raise RepairKitError(f"{_PLATFORM}: pidfd_open: {exc.strerror}") from exc
+        raise
+    try:
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        return bool(poller.poll(timeout_s * 1000))
+    finally:
+        os.close(fd)
+
+
+def _input_file(jail: Path, data: bytes) -> BinaryIO:
+    """``data`` in a new file in ``jail``, opened read-only, its name removed.
+
+    The jail is the tests' working directory, so the name is random and
+    neither the create nor the reopen follows a link an earlier test left.
+    """
+    fd, name = tempfile.mkstemp(dir=jail)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        return open(os.open(name, os.O_RDONLY | os.O_NOFOLLOW), "rb")
+    finally:
+        os.unlink(name)
+
+
 def run_test(binary: Path, case: TestCase, config: ExecutorConfig,
              index: int = 0) -> TestResult:
-    """Run one test in its own process group with capped output."""
-    timed_out = False
+    """Run one test in its own session, with its input file as stdin and its
+    output capped, and kill every process it leaves behind."""
+    if not (hasattr(os, "pidfd_open") and hasattr(resource, "prlimit")):
+        raise RepairKitError(f"{_PLATFORM}, which this platform lacks")
     start = time.perf_counter()
-    with tempfile.TemporaryFile(dir=binary.parent) as out_fh:
+    with _input_file(binary.parent, case.input.encode()) as in_fh, \
+            tempfile.TemporaryFile(dir=binary.parent) as out_fh:
         proc = subprocess.Popen(
             [str(binary)],
-            stdin=subprocess.PIPE,
+            stdin=in_fh,
             stdout=out_fh,
             stderr=subprocess.DEVNULL,
             cwd=binary.parent,
             start_new_session=True,
         )
         try:
-            # cap what the program can write; set from the parent so no
-            # preexec_fn is needed (thread-safe)
-            cap = config.max_output_bytes
-            resource.prlimit(proc.pid, resource.RLIMIT_FSIZE, (cap, cap))
-        except (ProcessLookupError, PermissionError, OSError):
-            pass
-        try:
-            proc.communicate(case.input.encode(), timeout=config.timeout_s)
-        except subprocess.TimeoutExpired:
-            timed_out = True
             try:
-                os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+                # cap what the program can write; set from the parent so no
+                # preexec_fn is needed (thread-safe)
+                cap = config.max_output_bytes
+                resource.prlimit(proc.pid, resource.RLIMIT_FSIZE, (cap, cap))
+            except (ProcessLookupError, PermissionError, OSError):
+                pass
+            timed_out = not _exits_within(proc.pid, config.timeout_s)
+        finally:
+            # the leader is not reaped yet, so its pid still names the group:
+            # kill whatever the test left running, then reap
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 proc.kill()
             proc.wait()

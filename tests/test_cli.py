@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -320,6 +321,18 @@ def test_triage_without_meta(tmp_path, capsys):
     jsonschema.validate(payload, schema("triage_report.schema.json"))
     assert payload["bug_type"] is None
     assert payload["tests"] == []
+
+
+def test_triage_without_pidfd_exits_1(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "sub.c"
+    src.write_text(SUM_OK)
+    meta = write_problem_meta(tmp_path / "p1.json")
+    monkeypatch.delattr(os, "pidfd_open")
+    code, out, err = run_cli(["triage", str(src), "--meta", str(meta), "--json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Linux >= 5.3" in err
+    assert "Traceback" not in err
 
 
 def test_triage_config_file_is_honoured(tmp_path, capsys):

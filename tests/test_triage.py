@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import resource
+import signal
+import subprocess
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +135,130 @@ def test_missing_compiler_raises():
     config = ExecutorConfig(compiler_cmd="no-such-compiler-zz {src} -o {out}")
     with pytest.raises(RepairKitError):
         triage_source(SUM_OK, SUM_TESTS, config)
+
+
+def test_link_error_diagnostics_are_reproducible():
+    # gcc names the object it links after a random temporary file
+    undeclared = SUM_OK.replace("printf(", "print_result(")
+    first = triage_source(undeclared, [], FAST)
+    second = triage_source(undeclared, [], FAST)
+    assert not first.compile_ok
+    assert "print_result" in first.diagnostics
+    assert first.diagnostics == second.diagnostics
+    assert "/tmp" not in first.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# test runs
+
+SLEEP_40MS = """\
+#include <unistd.h>
+int main(void) {
+    usleep(40000);
+    return 0;
+}
+"""
+
+SUM_N = """\
+#include <stdio.h>
+int main(void) {
+    int n = 0, x = 0;
+    long long total = 0;
+    scanf("%d", &n);
+    for (int i = 0; i < n; i++) {
+        scanf("%d", &x);
+        total += x;
+    }
+    printf("%lld\\n", total);
+    return 0;
+}
+"""
+
+FORK_AND_SLEEP = """\
+#include <stdio.h>
+#include <unistd.h>
+int main(void) {
+    pid_t child = fork();
+    if (child == 0) {
+        sleep(5);
+        return 0;
+    }
+    printf("%d\\n", (int)child);
+    return 0;
+}
+"""
+
+
+def test_test_ends_when_its_program_exits():
+    # a sleep-poll wait would report 64 ms or more
+    report = triage_source(SLEEP_40MS, [TestCase("", "")] * 3, FAST)
+    assert all(r.passed for r in report.results)
+    assert min(r.elapsed_s for r in report.results) < 0.055
+
+
+def test_input_larger_than_a_pipe_buffer():
+    values = [(i * 7919) % 100003 - 50000 for i in range(50_000)]
+    text = f"{len(values)}\n" + " ".join(map(str, values)) + "\n"
+    assert len(text) > 1 << 16
+    report = triage_source(SUM_N, [TestCase(text, f"{sum(values)}\n")], FAST)
+    assert report.all_passed
+
+
+def test_unread_input_does_not_block():
+    ignores_input = SUM_OK.replace('scanf("%d %d", &a, &b);', "a = 1; b = 2;")
+    case = TestCase("7 " * 50_000, "3\n")
+    report = triage_source(ignores_input, [case], FAST)
+    assert not report.results[0].timed_out
+    assert report.all_passed
+
+
+def _proc_state(pid: int) -> str | None:
+    """The state letter in /proc/PID/stat, or None once the process is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def test_processes_a_test_leaves_are_killed():
+    report = triage_source(FORK_AND_SLEEP, [TestCase("", "")], FAST)
+    child = int(report.results[0].stdout)
+    assert child > 0, "fork failed"
+    # SIGKILL lands asynchronously: give it a moment, far less than the
+    # child's 5 s sleep
+    deadline = time.monotonic() + 1.0
+    while (state := _proc_state(child)) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert state in (None, "Z")
+
+
+@pytest.mark.parametrize("module,name", [(os, "pidfd_open"), (resource, "prlimit")])
+def test_missing_platform_support_is_named(monkeypatch, module, name):
+    monkeypatch.delattr(module, name)
+    with pytest.raises(RepairKitError, match=r"Linux >= 5\.3"):
+        triage_source(SUM_OK, SUM_TESTS, FAST)
+
+
+@pytest.mark.parametrize("err", [errno.ENOSYS, errno.EPERM], ids=["ENOSYS", "EPERM"])
+def test_refused_pidfd_is_named_and_kills_the_test(monkeypatch, err):
+    spawned = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        proc = real_popen(*args, **kwargs)
+        spawned.append(proc)
+        return proc
+
+    def refuse(pid):
+        raise OSError(err, os.strerror(err))
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    monkeypatch.setattr(os, "pidfd_open", refuse)
+    with pytest.raises(RepairKitError, match=r"Linux >= 5\.3"):
+        triage_source(LOOP_FOREVER, SUM_TESTS[:1], FAST)
+    _, test = spawned  # the compiler, then the test
+    assert test.returncode == -signal.SIGKILL
 
 
 # ---------------------------------------------------------------------------
