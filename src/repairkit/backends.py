@@ -51,9 +51,9 @@ class TargetOracleBackend:
     """
 
     concurrent_safe = True
+    eos_token = EOS
 
-    def __init__(self, eos_token: str = EOS):
-        self.eos_token = eos_token
+    def __init__(self) -> None:
         self.prompt: list[str] | None = None
         self._stream: list[str] = []
 
@@ -85,25 +85,23 @@ class NGramBackend:
     """Order-n counting model; argmax with ties broken by the lowest token."""
 
     concurrent_safe = True
+    eos_token = EOS
 
-    def __init__(self, order: int = 3, eos_token: str = EOS):
+    def __init__(self, order: int = 3):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self.eos_token = eos_token
         self._counts: dict[tuple[str, ...], Counter] = {}
 
     @classmethod
-    def from_texts(cls, texts: Iterable[str], order: int = 3,
-                   eos_token: str = EOS) -> "NGramBackend":
-        model = cls(order, eos_token)
+    def from_texts(cls, texts: Iterable[str], order: int = 3) -> "NGramBackend":
+        model = cls(order)
         for text in texts:
             model.add_document(parse(text).token_texts())
         return model
 
     @classmethod
-    def from_dir(cls, path: str | Path, order: int = 3,
-                 eos_token: str = EOS) -> "NGramBackend":
+    def from_dir(cls, path: str | Path, order: int = 3) -> "NGramBackend":
         root = Path(path)
         files: list[Path] = []
         for pat in TRAINING_PATTERNS:
@@ -111,7 +109,7 @@ class NGramBackend:
         texts = [f.read_text() for f in sorted(set(files))]
         if not texts:
             raise RepairKitError(f"no training files under {root}")
-        return cls.from_texts(texts, order, eos_token)
+        return cls.from_texts(texts, order)
 
     def add_document(self, tokens: Sequence[str]) -> None:
         toks = list(tokens) + [self.eos_token]
@@ -155,13 +153,13 @@ class SeededRandomBackend:
     """
 
     concurrent_safe = True
+    eos_token = EOS
 
-    def __init__(self, seed: int, vocab: Sequence[str], eos_token: str = EOS):
-        if eos_token not in vocab:
-            vocab = list(vocab) + [eos_token]
+    def __init__(self, seed: int, vocab: Sequence[str]):
+        if EOS not in vocab:
+            vocab = list(vocab) + [EOS]
         self.seed = seed
         self.vocab = tuple(vocab)
-        self.eos_token = eos_token
         self._token_ids: dict[str, int] = {}
         self._seed64 = seed & _MASK64
         # the last pass: (tokens, prefix hashes, predictions)

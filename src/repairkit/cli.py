@@ -196,7 +196,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
                 verdict = "pass"
             elif r.timed_out:
                 verdict = "FAIL (timeout)"
-            elif r.normalized_match and r.returncode == 0:
+            elif r.formatting_only:
                 verdict = "FAIL (formatting only)"
             else:
                 verdict = "FAIL (wrong output)"

@@ -20,7 +20,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "Token",
@@ -82,6 +82,14 @@ _BLANKS = " \t\r\f\v"
 _ROLES = "\n/\\\"'#();{}="
 _BLANK_RUN = re.compile(f"[{re.escape(_BLANKS)}]+")
 _PLAIN_RUN = re.compile(f"[^{re.escape(_BLANKS + _ROLES)}]+")
+# What may sit between a header's ")" and its "{": blanks and newlines (spelled
+# out, as for _BLANKS) and comments; an unterminated block comment runs to the
+# end of the text.
+_GAP = re.compile(r"(?:[ \t\r\n\f\v]+|//[^\n]*|/\*(?:.*?\*/|.*))*", re.DOTALL)
+# One line's code in a fallback region: its first to its last character
+# outside _BLANKS.
+_CODE_CHAR = f"[^{re.escape(_BLANKS)}\\n]"
+_LINE_CODE = re.compile(f"{_CODE_CHAR}(?:[^\\n]*{_CODE_CHAR})?")
 
 
 class Token(NamedTuple):
@@ -113,7 +121,6 @@ class SourceUnit:
     text: str
     statements: tuple[Statement, ...]
     tokens: tuple[Token, ...]
-    block_parent: Mapping[int, int | None]
     degraded: bool = False
 
     def code_tokens(self) -> list[Token]:
@@ -143,7 +150,6 @@ class _Scanner:
         self.spans: list[tuple[int, int, int]] = []  # (start, end, block_id)
         self.comments: list[tuple[int, int]] = []
         self.degraded = False
-        self.block_parent: dict[int, int | None] = {ROOT_BLOCK: None}
         self._stack = [ROOT_BLOCK]
         self._next_block = ROOT_BLOCK + 1
 
@@ -165,29 +171,9 @@ class _Scanner:
         self.comments.append((i, j + 2))
         return j + 2
 
-    def _peek_code(self, i: int) -> str | None:
-        """Next significant character at or after ``i`` (skips ws/comments)."""
-        text, n = self.text, self.n
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n\f\v":
-                i += 1
-            elif c == "/" and text.startswith("//", i):
-                j = text.find("\n", i)
-                i = n if j == -1 else j
-            elif c == "/" and text.startswith("/*", i):
-                j = text.find("*/", i + 2)
-                i = n if j == -1 else j + 2
-            else:
-                return c
-        return None
-
-    def _open_block(self) -> int:
-        bid = self._next_block
+    def _open_block(self) -> None:
+        self._stack.append(self._next_block)
         self._next_block += 1
-        self.block_parent[bid] = self._stack[-1]
-        self._stack.append(bid)
-        return bid
 
     def _close_block(self) -> None:
         if len(self._stack) > 1:
@@ -313,13 +299,12 @@ class _Scanner:
                     paren -= 1
                 i += 1
                 if paren == 0 and start is not None:
-                    words = _IDENT_RE.findall(text[start:i], 0)
-                    head = [w for w in words[:2]]
+                    head = _IDENT_RE.findall(text[start:i])[:2]
                     is_control = bool(head) and (
                         head[0] in _CONTROL_PAREN
                         or (head[0] == "else" and len(head) > 1 and head[1] in _CONTROL_PAREN)
                     )
-                    if is_control or self._peek_code(i) == "{":
+                    if is_control or text.startswith("{", _GAP.match(text, i).end()):
                         close(i)
                 continue
 
@@ -373,33 +358,9 @@ class _Scanner:
             self.degraded = True
 
     def _fallback_lines(self, start: int, end: int) -> None:
-        region = self.text[start:end]
-        offset = start
-        for line in region.split("\n"):
-            lo, hi = 0, len(line)
-            while lo < hi and line[lo] in " \t\r\f\v":
-                lo += 1
-            while hi > lo and line[hi - 1] in " \t\r\f\v":
-                hi -= 1
-            if hi > lo:
-                self.spans.append((offset + lo, offset + hi, self._stack[-1]))
-            offset += len(line) + 1
-
-
-def _normalize_span(text: str, start: int, end: int,
-                    comments: list[tuple[int, int]]) -> str:
-    """Span text with comments replaced by a space and whitespace collapsed.
-
-    ``comments`` are the sorted comments that overlap [start, end).
-    """
-    parts = []
-    pos = start
-    for cs, ce in comments:
-        parts.append(text[pos:max(cs, pos)])
-        parts.append(" ")
-        pos = min(ce, end)
-    parts.append(text[pos:end])
-    return _WS_RE.sub(" ", "".join(parts)).strip()
+        block = self._stack[-1]
+        self.spans.extend((m.start(), m.end(), block)
+                          for m in _LINE_CODE.finditer(self.text, start, end))
 
 
 def _classify(normalized: str) -> str:
@@ -427,24 +388,6 @@ def _classify(normalized: str) -> str:
     return "other"
 
 
-def _tokenize_code(text: str, start: int, end: int,
-                   comments: list[tuple[int, int]], stmt: int) -> list[Token]:
-    """Tokenize the non-comment slices of [start, end).
-
-    ``comments`` are the sorted comments that overlap [start, end).
-    """
-    pos = start
-    segments: list[tuple[int, int]] = []
-    for cs, ce in comments:
-        if cs > pos:
-            segments.append((pos, cs))
-        pos = min(ce, end)
-    if pos < end:
-        segments.append((pos, end))
-    return [Token(m.start(), m.end(), m.group(0), False, stmt)
-            for lo, hi in segments for m in _TOKEN_RE.finditer(text, lo, hi)]
-
-
 def parse(text: str) -> SourceUnit:
     scanner = _Scanner(text)
     scanner.run()
@@ -455,16 +398,27 @@ def parse(text: str) -> SourceUnit:
     statements = []
     tokens: list[Token] = []
     for idx, (s, e, block) in enumerate(sorted(scanner.spans)):
-        # the comments overlapping [s, e): a run from the first that ends past s
-        lo = hi = bisect_right(comment_ends, s)
-        while hi < len(comments) and comments[hi][0] < e:
-            hi += 1
-        inside = comments[lo:hi]
-        norm = _normalize_span(text, s, e, inside)
+        # the code segments: the parts of [s, e) outside the run of comments
+        # from the first that ends past s (a comment may run past e)
+        segments = []
+        pos = s
+        k = bisect_right(comment_ends, s)
+        while k < len(comments) and comments[k][0] < e:
+            cs, ce = comments[k]
+            if cs > pos:
+                segments.append((pos, cs))
+            pos = ce
+            k += 1
+        if pos < e:
+            segments.append((pos, e))
+        # a comment counts as a space
+        norm = _WS_RE.sub(" ", " ".join(text[lo:hi] for lo, hi in segments)).strip()
         statements.append(
             Statement(idx, s, e, text[s:e], norm, _classify(norm), block)
         )
-        tokens.extend(_tokenize_code(text, s, e, inside, idx))
+        tokens.extend(Token(m.start(), m.end(), m.group(0), False, idx)
+                      for lo, hi in segments
+                      for m in _TOKEN_RE.finditer(text, lo, hi))
     if comments:
         # spans are sorted and disjoint: only comments can be out of order
         for cs, ce in comments:
@@ -475,7 +429,6 @@ def parse(text: str) -> SourceUnit:
         text=text,
         statements=tuple(statements),
         tokens=tuple(tokens),
-        block_parent=dict(scanner.block_parent),
         degraded=scanner.degraded,
     )
 

@@ -20,7 +20,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO
 
@@ -53,11 +53,6 @@ class BugType(enum.Enum):
         return self.value
 
 
-# ExecutorConfig.from_file's keys and how each value is converted
-_CONFIG_TYPES = {"compiler_cmd": str, "timeout_s": float,
-                 "compile_timeout_s": float, "max_output_bytes": int}
-
-
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Knobs for the sandboxed compile-and-run step."""
@@ -80,7 +75,12 @@ class ExecutorConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExecutorConfig":
-        """Parse a ``key = value`` config file (# comments allowed)."""
+        """Parse a ``key = value`` config file (# comments allowed).
+
+        The keys are the fields; each value is converted to the type of its
+        field's default.
+        """
+        converters = {f.name: type(f.default) for f in fields(cls)}
         kwargs: dict[str, object] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -90,7 +90,7 @@ class ExecutorConfig:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            convert = _CONFIG_TYPES.get(key)
+            convert = converters.get(key)
             if convert is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
@@ -125,6 +125,11 @@ class TestResult:
     @property
     def passed(self) -> bool:
         return self.raw_match and not self.timed_out and self.returncode == 0
+
+    @property
+    def formatting_only(self) -> bool:
+        """Failed, but the output differs from the expected only in whitespace."""
+        return not self.passed and self.normalized_match and self.returncode == 0
 
 
 @dataclass
@@ -307,7 +312,7 @@ def classify(report: ExecutionReport) -> BugType | None:
     failing = [r for r in report.results if not r.passed]
     if not failing:
         return None
-    if all(r.normalized_match and r.returncode == 0 for r in failing):
+    if all(r.formatting_only for r in failing):
         return BugType.PRESENTATION_ERROR
     return BugType.SEMANTIC_ERROR
 

@@ -363,7 +363,6 @@ class _ScannerRef:
         self.spans: list[tuple[int, int, int]] = []
         self.comments: list[tuple[int, int]] = []
         self.degraded = False
-        self.block_parent: dict[int, int | None] = {ROOT_BLOCK: None}
         self.stack = [ROOT_BLOCK]
         self.next_block = ROOT_BLOCK + 1
 
@@ -489,10 +488,8 @@ class _ScannerRef:
                 else:
                     close(last_sig)
                     self.spans.append((i, i + 1, self.stack[-1]))
-                    bid = self.next_block
+                    self.stack.append(self.next_block)
                     self.next_block += 1
-                    self.block_parent[bid] = self.stack[-1]
-                    self.stack.append(bid)
                 i += 1
             elif c == "}" and paren == 0:
                 if init_brace > 0:
@@ -589,5 +586,4 @@ def parse_ref(text: str) -> SourceUnit:
                           for m in _TOKEN_RE.finditer(text, lo, hi))
     tokens.extend(Token(cs, ce, text[cs:ce], True, None) for cs, ce in comments)
     tokens.sort(key=lambda t: (t.start, t.end))
-    return SourceUnit(text, tuple(statements), tuple(tokens),
-                      dict(scanner.block_parent), scanner.degraded)
+    return SourceUnit(text, tuple(statements), tuple(tokens), scanner.degraded)

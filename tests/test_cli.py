@@ -18,7 +18,8 @@ from repairkit import cli
 from repairkit.errors import BackendContractError
 from repairkit.source import parse
 
-from conftest import SUM_OK, SUM_WRONG_OP, write_archive, write_problem_meta
+from conftest import (SUM_EXTRA_WS, SUM_OK, SUM_WRONG_OP, write_archive,
+                      write_problem_meta)
 
 SUM_NO_RETURN = SUM_OK.replace("    return 0;\n", "")
 
@@ -310,6 +311,17 @@ def test_triage_human_report(tmp_path, capsys):
     assert code == 0
     assert "bug type: SE" in out
     assert "test 0: FAIL (wrong output)" in out
+
+
+def test_triage_human_report_names_a_formatting_error(tmp_path, capsys):
+    src = tmp_path / "sub.c"
+    src.write_text(SUM_EXTRA_WS)
+    meta = write_problem_meta(tmp_path / "p1.json",
+                              tests=[{"in": "1 2\n", "expected": "3\n"}])
+    code, out, _ = run_cli(["triage", str(src), "--meta", str(meta)], capsys)
+    assert code == 0
+    assert "bug type: PE" in out
+    assert "test 0: FAIL (formatting only)" in out
 
 
 def test_triage_without_meta(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repairkit.source import (ROOT_BLOCK, Statement, Token, extract_facts,
@@ -136,12 +136,18 @@ _FRAGMENTS = [
 
 @settings(max_examples=400)
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+# unterminated regions, parsed one statement per line
+@example("x = 1\nreturn")
+@example("int f(void)\n  y\\")
+@example("a = b\n\tcall(n)  \r\n")
+# what may sit between a header's ")" and its "{"
+@example("a = f(x) /* c */ { y; }")
+@example("a = f(x) // c\n{ y; }")
+@example("a = f(x) /* c")
+@example("a = f(x)\xa0{ y; }")
 def test_parse_matches_the_one_character_scanner(text):
     got, want = parse(text), parse_ref(text)
-    assert got.statements == want.statements
-    assert got.tokens == want.tokens
-    assert got.block_parent == want.block_parent
-    assert got.degraded == want.degraded
+    assert got == want
 
 
 def test_record_types_are_immutable_hashable_tuples():
@@ -168,8 +174,8 @@ def test_blocks_nest_and_braces_belong_outside():
     inner = by_text["y = 1;"]
     ret = by_text["return 0;"]
     assert inner.block_id != ret.block_id
-    # the if-body block is nested below the function body block
-    assert unit.block_parent[inner.block_id] == ret.block_id
+    # the function body resumes after the if-body closes
+    assert by_text["if (x)"].block_id == ret.block_id
 
 
 def test_same_block_members():

@@ -80,6 +80,7 @@ def test_presentation_error():
     failing = [r for r in report.results if not r.passed]
     assert failing, "extra spaces must break the raw comparison"
     assert all(r.normalized_match for r in failing)
+    assert all(r.formatting_only for r in failing)
     assert classify(report) is BugType.PRESENTATION_ERROR
 
 
