@@ -156,10 +156,11 @@ class SeededRandomBackend:
     eos_token = EOS
 
     def __init__(self, seed: int, vocab: Sequence[str]):
+        vocab = tuple(vocab)
         if EOS not in vocab:
-            vocab = list(vocab) + [EOS]
+            vocab += (EOS,)
         self.seed = seed
-        self.vocab = tuple(vocab)
+        self.vocab = vocab
         self._token_ids: dict[str, int] = {}
         self._seed64 = seed & _MASK64
         # the last pass: (tokens, prefix hashes, predictions)

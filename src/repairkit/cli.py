@@ -17,7 +17,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -245,7 +244,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "backend": args.backend,
         "truncated": result.truncated,
-        "stats": asdict(result.stats),
+        "stats": result.stats.as_dict(),
     }
     if args.compare:
         other = (accelerated_decode(backend, prompt, source, limits)
@@ -375,9 +374,10 @@ def _int_at_least(low: int):
 
 
 def _add_decode_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-tokens", type=_int_at_least(1), default=DecodeLimits.max_tokens,
+    defaults = DecodeLimits._field_defaults
+    p.add_argument("--max-tokens", type=_int_at_least(1), default=defaults["max_tokens"],
                    help="hard cap on generated tokens (default %(default)s)")
-    p.add_argument("--fallback-run", type=_int_at_least(0), default=DecodeLimits.fallback_run,
+    p.add_argument("--fallback-run", type=_int_at_least(0), default=defaults["fallback_run"],
                    help="first greedy run after a draft miss; doubles while the "
                         "model ignores the draft (default %(default)s)")
     p.add_argument("--probe", action="store_true",

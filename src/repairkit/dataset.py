@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import logging
-import statistics
-from dataclasses import dataclass, replace
+import math
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from zlib import crc32
 
 from .diffs import line_edit_distance
@@ -43,8 +42,7 @@ log = logging.getLogger(__name__)
 ACCEPTED_VERDICTS = frozenset({"OK", "AC", "ACCEPTED"})
 
 
-@dataclass(frozen=True)
-class Submission:
+class Submission(NamedTuple):
     problem_id: str
     student_id: str
     timestamp: str
@@ -56,8 +54,7 @@ class Submission:
         return self.verdict.upper() in ACCEPTED_VERDICTS
 
 
-@dataclass(frozen=True)
-class RepairPair:
+class RepairPair(NamedTuple):
     pair_id: str
     problem_id: str
     student_id: str
@@ -191,7 +188,7 @@ def pair_mask(pair: RepairPair, config: MaskConfig,
     corpus is reproducible record-by-record.  ``fixed_unit``, when given, is
     ``parse(pair.fixed.code)`` already made and is used instead of parsing.
     """
-    cfg = replace(config, rng_seed=pair_seed(config.rng_seed, pair.pair_id))
+    cfg = config._replace(rng_seed=pair_seed(config.rng_seed, pair.pair_id))
     buggy_unit = parse(pair.buggy.code)
     if fixed_unit is None:
         fixed_unit = parse(pair.fixed.code)
@@ -253,6 +250,18 @@ def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> 
     return Records(records, buggy_tokens)
 
 
+def _mean(xs: Sequence[int]) -> float:
+    return math.fsum(xs) / len(xs)  # statistics.fmean's own formula
+
+
+def _median(xs: Sequence[int]) -> float:
+    """The middle value, or the mean of the two middle values (an int stays
+    an int for an odd count), as ``statistics.median`` computes it."""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+
 def corpus_stats(pairs: list[RepairPair], buggy_tokens: Sequence[int]) -> dict:
     """Summary numbers for a paired corpus (buggy side).
 
@@ -272,9 +281,9 @@ def corpus_stats(pairs: list[RepairPair], buggy_tokens: Sequence[int]) -> dict:
         "pairs": len(pairs),
         "problems": len({p.problem_id for p in pairs}),
         "students": len({(p.problem_id, p.student_id) for p in pairs}),
-        "avg_lines": statistics.fmean(lines),
-        "median_lines": statistics.median(lines),
-        "avg_tokens": statistics.fmean(buggy_tokens),
-        "median_tokens": statistics.median(buggy_tokens),
+        "avg_lines": _mean(lines),
+        "median_lines": _median(lines),
+        "avg_tokens": _mean(buggy_tokens),
+        "median_tokens": _median(buggy_tokens),
         "verdicts": dict(sorted(verdicts.items())),
     }

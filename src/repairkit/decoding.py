@@ -23,9 +23,8 @@ different number of predictions than it was given tokens.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import asdict, dataclass
-from typing import Protocol, Sequence
+import math
+from typing import NamedTuple, Protocol, Sequence
 
 from .errors import BackendContractError, DegenerateInputError, LosslessnessError
 
@@ -63,8 +62,7 @@ class ModelBackend(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple):
     """Simulated cost of one forward pass: ``base + per_context_token * n``.
 
     Keeps benchmark reports deterministic and lets context-length effects be
@@ -81,33 +79,62 @@ class CostModel:
 DEFAULT_COST = CostModel()
 
 
-@dataclass(frozen=True)
-class DecodeLimits:
-    """``fallback_run`` is the first greedy bridge after a draft miss; the
-    bridge doubles while the model ignores the draft (0 disables it)."""
-
+class _DecodeLimits(NamedTuple):
     max_tokens: int = 4192
     fallback_run: int = 5
 
-    def __post_init__(self) -> None:
+
+class DecodeLimits(_DecodeLimits):
+    """``fallback_run`` is the first greedy bridge after a draft miss; the
+    bridge doubles while the model ignores the draft (0 disables it)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DecodeLimits:
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.fallback_run < 0:
             raise ValueError("fallback_run must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> DecodeLimits:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
 
-@dataclass
 class DecodeStats:
-    forward_passes: int = 0
-    tokens_emitted: int = 0
-    draft_accepted: int = 0
-    corrections: int = 0
-    ar_fallback_tokens: int = 0
-    sim_cost: float = 0.0
+    """Counters of one decode, bumped in place on every forward pass."""
+
+    __slots__ = ("forward_passes", "tokens_emitted", "draft_accepted",
+                 "corrections", "ar_fallback_tokens", "sim_cost")
+
+    def __init__(self, forward_passes: int = 0, tokens_emitted: int = 0,
+                 draft_accepted: int = 0, corrections: int = 0,
+                 ar_fallback_tokens: int = 0, sim_cost: float = 0.0) -> None:
+        self.forward_passes = forward_passes
+        self.tokens_emitted = tokens_emitted
+        self.draft_accepted = draft_accepted
+        self.corrections = corrections
+        self.ar_fallback_tokens = ar_fallback_tokens
+        self.sim_cost = sim_cost
+
+    def as_dict(self) -> dict:
+        """The counters by name, in the order of the constructor's parameters."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"DecodeStats({fields})"
 
 
-@dataclass
-class DecodeResult:
+class DecodeResult(NamedTuple):
     tokens: list[str]
     stats: DecodeStats
     truncated: bool = False
@@ -126,8 +153,7 @@ def chunk_token_ranges(tokens: Sequence[str]) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-@dataclass(frozen=True)
-class DraftSource:
+class DraftSource(NamedTuple):
     """The buggy token stream plus its statement chunking."""
 
     tokens: tuple[str, ...]
@@ -204,7 +230,7 @@ def _dyn_cost(stats: DecodeStats, model_cost: CostModel, n: int) -> None:
 
 
 def ar_decode(model: ModelBackend, prompt: Sequence[str],
-              max_tokens: int = DecodeLimits.max_tokens,
+              max_tokens: int = DecodeLimits._field_defaults["max_tokens"],
               cost_model: CostModel = DEFAULT_COST) -> DecodeResult:
     """Plain greedy decoding: one forward pass per emitted token."""
     if not prompt:
@@ -322,17 +348,16 @@ def probe_backend(model: ModelBackend, sample: Sequence[str]) -> None:
     if len(sample) < 2:
         raise ValueError("probe sample needs at least 2 tokens")
     first = _forward(model, sample)
-    if model.forward(sample) != first:
+    if _forward(model, sample) != first:
         raise BackendContractError("backend is not deterministic")
     for cut in {1, len(sample) // 2, len(sample) - 1}:
-        if model.forward(sample[:cut]) != first[:cut]:
+        if _forward(model, sample[:cut]) != first[:cut]:
             raise BackendContractError(
                 f"prediction before position {cut} depends on later tokens"
             )
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     """Accelerated-vs-greedy efficiency of one program.  ``speedup``,
     ``tokens_per_s`` and ``avg_time`` are in :class:`CostModel` simulated
     units (``DecodeStats.sim_cost``), not seconds."""
@@ -346,7 +371,7 @@ class EfficiencyReport:
     avg_time: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def compute_metrics(ar: DecodeResult, acc: DecodeResult,
@@ -380,11 +405,13 @@ def aggregate_reports(reports: Sequence[EfficiencyReport]) -> dict:
     """Corpus roll-up: the mean of per-program ratios, not a ratio of sums."""
     if not reports:
         raise DegenerateInputError("no reports to aggregate")
+    n = len(reports)
+    # fsum / n is statistics.fmean's own formula
     return {
-        "programs": len(reports),
-        "mean_step_efficiency": statistics.fmean(r.step_efficiency for r in reports),
-        "mean_speedup": statistics.fmean(r.speedup for r in reports),
-        "mean_tokens_per_s": statistics.fmean(r.tokens_per_s for r in reports),
-        "mean_avg_time": statistics.fmean(r.avg_time for r in reports),
+        "programs": n,
+        "mean_step_efficiency": math.fsum(r.step_efficiency for r in reports) / n,
+        "mean_speedup": math.fsum(r.speedup for r in reports) / n,
+        "mean_tokens_per_s": math.fsum(r.tokens_per_s for r in reports) / n,
+        "mean_avg_time": math.fsum(r.avg_time for r in reports) / n,
         "total_tokens": sum(r.tokens for r in reports),
     }

@@ -46,7 +46,6 @@ hashable: the characters of a string, tokens or lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .source import SourceUnit, parse
@@ -122,8 +121,7 @@ class AlignPair(NamedTuple):
     fixed: int | None
 
 
-@dataclass(frozen=True)
-class AlignedDiff:
+class AlignedDiff(NamedTuple):
     buggy: SourceUnit
     fixed: SourceUnit
     pairs: tuple[AlignPair, ...]

@@ -21,8 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diffs import AlignedDiff, align_statements, levenshtein
 from .errors import DegenerateInputError
@@ -49,15 +48,19 @@ PADDING_FLOOR = 0.05
 STRATEGIES = ("M1", "M2", "M3", "M4")
 
 
-@dataclass(frozen=True)
-class MaskConfig:
+class _MaskConfig(NamedTuple):
     strategy: str = "M4"
     sigma: float = 0.6
     rng_seed: int = 0
     dist_granularity: str = "char"          # or "token"
     expansion_aggregation: str = "floor"    # max(1, sum) — or "cap": min(1, sum)
 
-    def __post_init__(self) -> None:
+
+class MaskConfig(_MaskConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MaskConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0.0 < self.sigma <= 1.0:
@@ -66,10 +69,15 @@ class MaskConfig:
             raise ValueError(f"unknown granularity {self.dist_granularity!r}")
         if self.expansion_aggregation not in ("floor", "cap"):
             raise ValueError(f"unknown aggregation {self.expansion_aggregation!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> MaskConfig:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MaskVector:
+class MaskVector(NamedTuple):
     strategy: str
     sigma: float
     seed: int

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 __all__ = [
     "Token",
@@ -116,8 +116,7 @@ class Statement(NamedTuple):
     block_id: int
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class SourceUnit(NamedTuple):
     text: str
     statements: tuple[Statement, ...]
     tokens: tuple[Token, ...]
@@ -131,14 +130,19 @@ class SourceUnit:
         return [t.text for t in self.code_tokens()]
 
 
-@dataclass
-class CodeFacts:
-    """Per-statement identifier facts, all keyed by statement index."""
+_NO_FACTS: Mapping = MappingProxyType({})
 
-    variables_by_statement: dict[int, frozenset[str]] = field(default_factory=dict)
-    calls_by_statement: dict[int, frozenset[str]] = field(default_factory=dict)
-    definitions: dict[str, tuple[int, int]] = field(default_factory=dict)
-    assignments: dict[str, frozenset[int]] = field(default_factory=dict)
+
+class CodeFacts(NamedTuple):
+    """Per-statement identifier facts, all keyed by statement index.
+
+    :func:`extract_facts` fills in dicts; a field left out defaults to a
+    shared read-only empty mapping."""
+
+    variables_by_statement: Mapping[int, frozenset[str]] = _NO_FACTS
+    calls_by_statement: Mapping[int, frozenset[str]] = _NO_FACTS
+    definitions: Mapping[str, tuple[int, int]] = _NO_FACTS
+    assignments: Mapping[str, frozenset[int]] = _NO_FACTS
 
 
 class _Scanner:
@@ -442,8 +446,9 @@ def _statement_token_texts(unit: SourceUnit) -> dict[int, list[str]]:
 
 
 def extract_facts(unit: SourceUnit) -> CodeFacts:
-    facts = CodeFacts()
     by_stmt = _statement_token_texts(unit)
+    calls_by_statement: dict[int, frozenset[str]] = {}
+    variables_by_statement: dict[int, frozenset[str]] = {}
     assign_sets: dict[str, set[int]] = {}
 
     for stmt in unit.statements:
@@ -457,8 +462,8 @@ def extract_facts(unit: SourceUnit) -> CodeFacts:
                 calls.add(t)
             else:
                 variables.add(t)
-        facts.calls_by_statement[stmt.index] = frozenset(calls)
-        facts.variables_by_statement[stmt.index] = frozenset(variables)
+        calls_by_statement[stmt.index] = frozenset(calls)
+        variables_by_statement[stmt.index] = frozenset(variables)
 
         if stmt.kind == "declaration":
             for v in variables:
@@ -467,9 +472,12 @@ def extract_facts(unit: SourceUnit) -> CodeFacts:
             for v in _assignment_targets(toks):
                 assign_sets.setdefault(v, set()).add(stmt.index)
 
-    facts.assignments = {v: frozenset(s) for v, s in assign_sets.items()}
-    facts.definitions = _find_definitions(unit, by_stmt)
-    return facts
+    return CodeFacts(
+        variables_by_statement=variables_by_statement,
+        calls_by_statement=calls_by_statement,
+        definitions=_find_definitions(unit, by_stmt),
+        assignments={v: frozenset(s) for v, s in assign_sets.items()},
+    )
 
 
 def _assignment_targets(toks: list[str]) -> set[str]:

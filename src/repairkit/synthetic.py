@@ -8,7 +8,7 @@ for the decode engine and as source text for the corpus pipeline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decoding import BOUNDARY_TOKENS
 
@@ -23,8 +23,7 @@ __all__ = [
 STATEMENT_TOKENS = 5
 
 
-@dataclass(frozen=True)
-class SyntheticPair:
+class SyntheticPair(NamedTuple):
     name: str
     buggy_tokens: tuple[str, ...]
     target_tokens: tuple[str, ...]

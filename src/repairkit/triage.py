@@ -20,9 +20,8 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple, Sequence
 
 from .errors import RepairKitError
 
@@ -53,16 +52,20 @@ class BugType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """Knobs for the sandboxed compile-and-run step."""
-
+class _ExecutorConfig(NamedTuple):
     compiler_cmd: str = "gcc -O0 -w {src} -o {out} -lm"
     timeout_s: float = 2.0
     compile_timeout_s: float = 15.0
     max_output_bytes: int = 1 << 20
 
-    def __post_init__(self) -> None:
+
+class ExecutorConfig(_ExecutorConfig):
+    """Knobs for the sandboxed compile-and-run step."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ExecutorConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for timeout in (self.timeout_s, self.compile_timeout_s):
             # nan fails every comparison, so it would pass a plain `<= 0` test;
             # nan or inf would turn the limit off
@@ -72,6 +75,12 @@ class ExecutorConfig:
             raise ValueError("max_output_bytes must be positive")
         if "{src}" not in self.compiler_cmd or "{out}" not in self.compiler_cmd:
             raise ValueError("compiler_cmd must contain {src} and {out}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ExecutorConfig:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExecutorConfig":
@@ -80,7 +89,8 @@ class ExecutorConfig:
         The keys are the fields; each value is converted to the type of its
         field's default.
         """
-        converters = {f.name: type(f.default) for f in fields(cls)}
+        converters = {name: type(default)
+                      for name, default in cls._field_defaults.items()}
         kwargs: dict[str, object] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -103,16 +113,14 @@ class ExecutorConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     input: str
     expected: str
 
     __test__ = False  # not a pytest class despite the name
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     index: int
     stdout: str
     returncode: int
@@ -132,11 +140,10 @@ class TestResult:
         return not self.passed and self.normalized_match and self.returncode == 0
 
 
-@dataclass
-class ExecutionReport:
+class ExecutionReport(NamedTuple):
     compile_ok: bool
     diagnostics: str = ""
-    results: list[TestResult] = field(default_factory=list)
+    results: Sequence[TestResult] = ()
 
     @property
     def all_passed(self) -> bool:
@@ -291,12 +298,9 @@ def triage_source(code: str, tests: list[TestCase],
     with tempfile.TemporaryDirectory(prefix="repairkit-") as tmp:
         jail = Path(tmp)
         ok, diag, binary = compile_source(code, config, jail)
-        report = ExecutionReport(compile_ok=ok, diagnostics=diag)
-        if not ok:
-            return report
-        for i, case in enumerate(tests):
-            report.results.append(run_test(binary, case, config, index=i))
-    return report
+        results = [run_test(binary, case, config, index=i)
+                   for i, case in enumerate(tests)] if ok else []
+    return ExecutionReport(compile_ok=ok, diagnostics=diag, results=results)
 
 
 def classify(report: ExecutionReport) -> BugType | None:
@@ -317,8 +321,7 @@ def classify(report: ExecutionReport) -> BugType | None:
     return BugType.SEMANTIC_ERROR
 
 
-@dataclass(frozen=True)
-class ProblemMeta:
+class ProblemMeta(NamedTuple):
     problem_id: str
     description: str = ""
     io_format: str = ""

@@ -457,6 +457,11 @@ def test_triage_bad_config_value_names_its_line(tmp_path, capsys, monkeypatch, l
 # repair
 
 
+# EfficiencyReport's fields: the key order of the JSON metrics
+_REPORT_KEYS = ["tokens", "forward_passes_ar", "forward_passes_acc",
+                "step_efficiency", "speedup", "tokens_per_s", "avg_time"]
+
+
 def test_repair_oracle_compare(pair_files, capsys):
     buggy, fixed = pair_files
     code, out, _ = run_cli(
@@ -465,7 +470,10 @@ def test_repair_oracle_compare(pair_files, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["truncated"] is False
-    assert "wall_time" not in payload["stats"]
+    assert list(payload["stats"]) == [
+        "forward_passes", "tokens_emitted", "draft_accepted", "corrections",
+        "ar_fallback_tokens", "sim_cost"]
+    assert list(payload["metrics"]) == _REPORT_KEYS
     assert payload["metrics"]["step_efficiency"] > 1.0
     assert "a + b" in payload["text"]
 
@@ -576,6 +584,7 @@ def test_bench_json_validates(bench_dir, capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, schema("bench_report.schema.json"))
     assert [p["id"] for p in payload["programs"]] == ["p1", "p2"]
+    assert all(list(p) == ["id", *_REPORT_KEYS] for p in payload["programs"])
     assert payload["aggregate"]["programs"] == 2
     _, again, _ = run_cli(argv, capsys)
     assert again == out

@@ -1,7 +1,6 @@
 import importlib.util
 import json
 import random
-from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +19,9 @@ from repairkit.decoding import (CostModel, DecodeLimits, DecodeResult,
                                 probe_backend, repair_prompt)
 from repairkit.errors import (BackendContractError, DegenerateInputError,
                               LosslessnessError)
+from repairkit.mask import MaskConfig
 from repairkit.synthetic import make_pair
+from repairkit.triage import ExecutorConfig
 
 from oracles import accelerated_decode_ref
 
@@ -193,7 +194,7 @@ def _run_spied(decode, backend, prompt, buggy, limits):
     real = decoding.draft_generate
     with mock.patch.object(decoding, "draft_generate", spy):
         res = decode(backend, prompt, buggy, limits)
-    return res.tokens, res.truncated, asdict(res.stats), calls
+    return res.tokens, res.truncated, res.stats.as_dict(), calls
 
 
 def _check_against_reference(backend, prompt, buggy, limits):
@@ -511,6 +512,25 @@ def test_probe_rejects_wrong_output_length():
         probe_backend(_WrongLengthBackend(), ["a", "b", "c"])
 
 
+class _ShortOnPrefixesBackend:
+    """Consistent on the whole probe sample, one prediction short on a prefix."""
+
+    eos_token = EOS
+
+    def __init__(self, n):
+        self.n = n
+
+    def forward(self, tokens):
+        preds = [EOS] * len(tokens)
+        return preds if len(tokens) >= self.n else preds[1:]
+
+
+def test_probe_checks_the_prediction_count_on_every_pass():
+    sample = ["a", "b", "c", "d"]
+    with pytest.raises(BackendContractError, match="predictions for"):
+        probe_backend(_ShortOnPrefixesBackend(len(sample)), sample)
+
+
 def test_probe_rejects_noncausal_predictions():
     backend = _RewritingBackend()
     with pytest.raises(BackendContractError):
@@ -581,4 +601,14 @@ def test_decode_limits_validation():
     with pytest.raises(ValueError):
         DecodeLimits(fallback_run=-1)
     limits = DecodeLimits()
-    assert replace(limits, fallback_run=0).fallback_run == 0
+    assert limits._replace(fallback_run=0).fallback_run == 0
+
+
+@pytest.mark.parametrize("config, change, message", [
+    (MaskConfig(), {"sigma": 2.0}, r"sigma must be in \(0, 1\]"),
+    (DecodeLimits(), {"max_tokens": 0}, "max_tokens must be >= 1"),
+    (ExecutorConfig(), {"timeout_s": float("nan")}, "timeouts must be positive and finite"),
+], ids=["MaskConfig", "DecodeLimits", "ExecutorConfig"])
+def test_replace_runs_the_config_checks(config, change, message):
+    with pytest.raises(ValueError, match=message):
+        config._replace(**change)
