@@ -251,7 +251,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
                  if args.mode == "ar" else ar_decode(backend, prompt, limits.max_tokens))
         ar_res, acc_res = (result, other) if args.mode == "ar" else (other, result)
         report = compute_metrics(ar_res, acc_res)
-        payload["metrics"] = report.as_dict()
+        payload["metrics"] = report._asdict()
 
     out_tokens = list(result.tokens)
     if out_tokens and out_tokens[-1] == EOS:
@@ -328,7 +328,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         acc_res = accelerated_decode(backend, prompt, source, limits)
         report = compute_metrics(ar_res, acc_res)
         reports.append(report)
-        programs.append({"id": pid, **report.as_dict()})
+        programs.append({"id": pid, **report._asdict()})
 
     payload = {
         "programs": programs,

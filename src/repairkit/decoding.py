@@ -370,9 +370,6 @@ class EfficiencyReport(NamedTuple):
     tokens_per_s: float
     avg_time: float
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def compute_metrics(ar: DecodeResult, acc: DecodeResult,
                     time_source: str = "sim") -> EfficiencyReport:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 __all__ = [
@@ -130,19 +129,14 @@ class SourceUnit(NamedTuple):
         return [t.text for t in self.code_tokens()]
 
 
-_NO_FACTS: Mapping = MappingProxyType({})
-
-
 class CodeFacts(NamedTuple):
-    """Per-statement identifier facts, all keyed by statement index.
+    """Per-statement identifier facts, all keyed by statement index; built
+    by :func:`extract_facts`."""
 
-    :func:`extract_facts` fills in dicts; a field left out defaults to a
-    shared read-only empty mapping."""
-
-    variables_by_statement: Mapping[int, frozenset[str]] = _NO_FACTS
-    calls_by_statement: Mapping[int, frozenset[str]] = _NO_FACTS
-    definitions: Mapping[str, tuple[int, int]] = _NO_FACTS
-    assignments: Mapping[str, frozenset[int]] = _NO_FACTS
+    variables_by_statement: Mapping[int, frozenset[str]]
+    calls_by_statement: Mapping[int, frozenset[str]]
+    definitions: Mapping[str, tuple[int, int]]
+    assignments: Mapping[str, frozenset[int]]
 
 
 class _Scanner:

@@ -1,5 +1,10 @@
 """Compile/run student submissions in a sandbox and name what went wrong.
 
+The compiler and every test run through one launcher, ``_run_jailed``: each
+program gets its own session, and its whole process group is killed once it
+exits or times out.  The compiler reads ``/dev/null``; its diagnostics are
+kept up to ``max_output_bytes`` bytes.
+
 The bug taxonomy is deliberately coarse — compile error, time limit,
 presentation error (whitespace-only output mismatch), semantic error —
 because it feeds a repair prompt, not a grading pipeline.
@@ -75,6 +80,11 @@ class ExecutorConfig(_ExecutorConfig):
             raise ValueError("max_output_bytes must be positive")
         if "{src}" not in self.compiler_cmd or "{out}" not in self.compiler_cmd:
             raise ValueError("compiler_cmd must contain {src} and {out}")
+        try:
+            _compiler_argv(self.compiler_cmd, "main.c", "main.bin")
+        except (ValueError, LookupError, AttributeError) as exc:
+            # an unclosed quote, a stray brace, or a field other than src and out
+            raise ValueError(f"bad compiler_cmd {self.compiler_cmd!r}: {exc!r}") from exc
         return self
 
     @classmethod
@@ -177,25 +187,8 @@ def _scrub(text: str, jail: Path) -> str:
     return text.replace(str(jail) + os.sep, "").replace(str(jail), "")
 
 
-def compile_source(code: str, config: ExecutorConfig, jail: Path) -> tuple[bool, str, Path]:
-    src = jail / "main.c"
-    out = jail / "main.bin"
-    src.write_text(code)
-    argv = [a.format(src=str(src), out=str(out)) for a in shlex.split(config.compiler_cmd)]
-    try:
-        proc = subprocess.run(
-            argv,
-            capture_output=True,
-            timeout=config.compile_timeout_s,
-            cwd=jail,
-            env={**os.environ, "TMPDIR": str(jail)},
-        )
-    except subprocess.TimeoutExpired:
-        return False, "compiler timed out", out
-    except FileNotFoundError as exc:
-        raise RepairKitError(f"compiler not found: {argv[0]}") from exc
-    diag = proc.stderr.decode("utf-8", errors="replace")[: config.max_output_bytes]
-    return proc.returncode == 0, _scrub(diag, jail), out
+def _compiler_argv(cmd: str, src: str, out: str) -> list[str]:
+    return [a.format(src=src, out=out) for a in shlex.split(cmd)]
 
 
 _PLATFORM = "triage needs Linux >= 5.3 (os.pidfd_open and resource.prlimit)"
@@ -221,6 +214,54 @@ def _exits_within(pid: int, timeout_s: float) -> bool:
         os.close(fd)
 
 
+def _run_jailed(argv: list[str], jail: Path, stdin, stdout, stderr, timeout_s: float,
+                env: dict | None = None, fsize: int | None = None) -> tuple[int, bool]:
+    """Run ``argv`` in ``jail`` in its own session, its files capped at
+    ``fsize`` bytes, until it exits or times out; then kill its whole group.
+    Returns the exit code and whether it timed out."""
+    if not (hasattr(os, "pidfd_open") and hasattr(resource, "prlimit")):
+        raise RepairKitError(f"{_PLATFORM}, which this platform lacks")
+    proc = subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr,
+                            cwd=jail, env=env, start_new_session=True)
+    try:
+        try:
+            # set from the parent so no preexec_fn is needed (thread-safe)
+            if fsize is not None:
+                resource.prlimit(proc.pid, resource.RLIMIT_FSIZE, (fsize, fsize))
+        except OSError:
+            pass
+        timed_out = not _exits_within(proc.pid, timeout_s)
+    finally:
+        # the leader is not reaped yet, so its pid still names the group:
+        # kill whatever the program left running, then reap
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            proc.kill()
+        proc.wait()
+    return proc.returncode, timed_out
+
+
+def compile_source(code: str, config: ExecutorConfig, jail: Path) -> tuple[bool, str, Path]:
+    src = jail / "main.c"
+    out = jail / "main.bin"
+    src.write_text(code)
+    argv = _compiler_argv(config.compiler_cmd, str(src), str(out))
+    # no file-size cap: a linked binary may exceed max_output_bytes
+    with tempfile.TemporaryFile(dir=jail) as err_fh:
+        try:
+            returncode, timed_out = _run_jailed(
+                argv, jail, subprocess.DEVNULL, subprocess.DEVNULL, err_fh,
+                config.compile_timeout_s, env={**os.environ, "TMPDIR": str(jail)})
+        except FileNotFoundError as exc:
+            raise RepairKitError(f"compiler not found: {argv[0]}") from exc
+        err_fh.seek(0)
+        diag = err_fh.read(config.max_output_bytes).decode("utf-8", errors="replace")
+    if timed_out:
+        return False, "compiler timed out", out
+    return returncode == 0, _scrub(diag, jail), out
+
+
 def _input_file(jail: Path, data: bytes) -> BinaryIO:
     """``data`` in a new file in ``jail``, opened read-only, its name removed.
 
@@ -238,38 +279,13 @@ def _input_file(jail: Path, data: bytes) -> BinaryIO:
 
 def run_test(binary: Path, case: TestCase, config: ExecutorConfig,
              index: int = 0) -> TestResult:
-    """Run one test in its own session, with its input file as stdin and its
-    output capped, and kill every process it leaves behind."""
-    if not (hasattr(os, "pidfd_open") and hasattr(resource, "prlimit")):
-        raise RepairKitError(f"{_PLATFORM}, which this platform lacks")
+    """Run one test with its input file as stdin and its output capped."""
     start = time.perf_counter()
     with _input_file(binary.parent, case.input.encode()) as in_fh, \
             tempfile.TemporaryFile(dir=binary.parent) as out_fh:
-        proc = subprocess.Popen(
-            [str(binary)],
-            stdin=in_fh,
-            stdout=out_fh,
-            stderr=subprocess.DEVNULL,
-            cwd=binary.parent,
-            start_new_session=True,
-        )
-        try:
-            try:
-                # cap what the program can write; set from the parent so no
-                # preexec_fn is needed (thread-safe)
-                cap = config.max_output_bytes
-                resource.prlimit(proc.pid, resource.RLIMIT_FSIZE, (cap, cap))
-            except (ProcessLookupError, PermissionError, OSError):
-                pass
-            timed_out = not _exits_within(proc.pid, config.timeout_s)
-        finally:
-            # the leader is not reaped yet, so its pid still names the group:
-            # kill whatever the test left running, then reap
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                proc.kill()
-            proc.wait()
+        returncode, timed_out = _run_jailed(
+            [str(binary)], binary.parent, in_fh, out_fh, subprocess.DEVNULL,
+            config.timeout_s, fsize=config.max_output_bytes)
         elapsed = time.perf_counter() - start
         out_fh.seek(0)
         data = out_fh.read(config.max_output_bytes + 1)
@@ -282,7 +298,7 @@ def run_test(binary: Path, case: TestCase, config: ExecutorConfig,
     return TestResult(
         index=index,
         stdout=stdout,
-        returncode=proc.returncode,
+        returncode=returncode,
         timed_out=timed_out,
         truncated=truncated,
         elapsed_s=elapsed,
@@ -378,12 +394,8 @@ _PROMPT_SECTIONS = (
 def _format_examples(meta: ProblemMeta) -> str:
     graded = {(t.input, t.expected) for t in meta.tests}
     shown = [ex for ex in meta.example_ios if ex not in graded]
-    if not shown:
-        return ""
-    parts = []
-    for i, (ex_in, ex_out) in enumerate(shown, 1):
-        parts.append(f"Input {i}:\n{ex_in.rstrip()}\nOutput {i}:\n{ex_out.rstrip()}")
-    return "\n".join(parts)
+    return "\n".join(f"Input {i}:\n{ex_in.rstrip()}\nOutput {i}:\n{ex_out.rstrip()}"
+                     for i, (ex_in, ex_out) in enumerate(shown, 1))
 
 
 def build_prompt(meta: ProblemMeta, bug_type: BugType | None, buggy_code: str) -> str:
@@ -399,8 +411,5 @@ def build_prompt(meta: ProblemMeta, bug_type: BugType | None, buggy_code: str) -
         "Bug Type": bug_type.value if bug_type is not None else "",
         "Buggy Code": buggy_code.rstrip(),
     }
-    chunks = []
-    for name in _PROMPT_SECTIONS:
-        body = bodies[name] or "N/A"
-        chunks.append(f"## {name}\n{body}")
-    return "\n\n".join(chunks) + "\n"
+    return "\n\n".join(f"## {name}\n{bodies[name] or 'N/A'}"
+                       for name in _PROMPT_SECTIONS) + "\n"

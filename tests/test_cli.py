@@ -453,6 +453,22 @@ def test_triage_bad_config_value_names_its_line(tmp_path, capsys, monkeypatch, l
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd, why", [("gcc -DX={y} {src} -o {out}", "KeyError"),
+                                      ("gcc -DX={0} {src} -o {out}", "IndexError"),
+                                      ("gcc '{src} -o {out}", "No closing quotation")])
+def test_triage_malformed_compiler_cmd_names_its_file(tmp_path, capsys, monkeypatch,
+                                                      cmd, why):
+    monkeypatch.setattr(cli, "triage_source", lambda *a: pytest.fail("triaged"))
+    src = tmp_path / "sub.c"
+    src.write_text(SUM_OK)
+    config = tmp_path / "executor.conf"
+    config.write_text(f"compiler_cmd = {cmd}\n")
+    code, _, err = run_cli(["triage", str(src), "--config", str(config)], capsys)
+    assert code == 1
+    assert f"{config}: bad compiler_cmd" in err and why in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # repair
 

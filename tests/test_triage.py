@@ -5,8 +5,10 @@ from __future__ import annotations
 import errno
 import os
 import resource
+import shlex
 import signal
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -138,6 +140,50 @@ def test_missing_compiler_raises():
         triage_source(SUM_OK, SUM_TESTS, config)
 
 
+def _gone_within(pid: int, seconds: float) -> bool:
+    """Poll until ``pid`` is gone or a zombie; SIGKILL lands asynchronously."""
+    deadline = time.monotonic() + seconds
+    while (state := _proc_state(pid)) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return state in (None, "Z")
+
+
+def test_compile_timeout_kills_the_compilers_group(tmp_path):
+    pidfile = tmp_path / "pid"
+    config = ExecutorConfig(
+        compiler_cmd=f"sh -c 'sleep 3 & echo $! > {pidfile}; wait' {{src}} {{out}}",
+        compile_timeout_s=0.3,
+    )
+    report = triage_source(SUM_OK, SUM_TESTS, config)
+    assert not report.compile_ok
+    assert report.diagnostics == "compiler timed out"
+    assert _gone_within(int(pidfile.read_text()), 1.0)
+
+
+def test_compiler_reads_dev_null_not_the_callers_stdin():
+    # with the caller's stdin an open pipe, gcc would wait on it until the timeout
+    config = ExecutorConfig(compile_timeout_s=1.0)
+    read_end, write_end = os.pipe()
+    saved = os.dup(0)
+    try:
+        os.dup2(read_end, 0)
+        report = triage_source('#include "/dev/stdin"\n' + SUM_OK, SUM_TESTS, config)
+    finally:
+        os.dup2(saved, 0)
+        for fd in (saved, read_end, write_end):
+            os.close(fd)
+    assert report.compile_ok, report.diagnostics
+    assert report.all_passed
+
+
+def test_compiler_diagnostics_are_capped():
+    flood = f"{shlex.quote(sys.executable)} -c \"import sys; sys.stderr.write('x' * 100000); sys.exit(1)\""
+    config = ExecutorConfig(compiler_cmd=flood + " {src} {out}", max_output_bytes=1024)
+    report = triage_source(SUM_OK, SUM_TESTS, config)
+    assert not report.compile_ok
+    assert report.diagnostics == "x" * 1024
+
+
 def test_link_error_diagnostics_are_reproducible():
     # gcc names the object it links after a random temporary file
     undeclared = SUM_OK.replace("printf(", "print_result(")
@@ -258,8 +304,9 @@ def test_refused_pidfd_is_named_and_kills_the_test(monkeypatch, err):
     monkeypatch.setattr(os, "pidfd_open", refuse)
     with pytest.raises(RepairKitError, match=r"Linux >= 5\.3"):
         triage_source(LOOP_FOREVER, SUM_TESTS[:1], FAST)
-    _, test = spawned  # the compiler, then the test
-    assert test.returncode == -signal.SIGKILL
+    # the refusal comes at the compiler's launch, so nothing else started
+    (compiler,) = spawned
+    assert compiler.returncode == -signal.SIGKILL
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +381,9 @@ def test_config_rejects_bad_line(tmp_path):
         {"compile_timeout_s": -1.0},
         {"max_output_bytes": 0},
         {"compiler_cmd": "gcc {src}"},
+        {"compiler_cmd": "gcc -DX={y} {src} -o {out}"},
+        {"compiler_cmd": "gcc -DX={0} {src} -o {out}"},
+        {"compiler_cmd": "gcc '{src} -o {out}"},
     ],
 )
 def test_config_validation(kwargs):
