@@ -22,9 +22,9 @@ from typing import NoReturn
 
 from .backends import (EOS, NGramBackend, SeededRandomBackend,
                        TargetOracleBackend, make_repair_oracle)
-from .dataset import (RepairPair, Submission, build_records, corpus_stats,
-                      filter_pairs, load_archive, mask_record, pair_mask,
-                      pair_submissions)
+from .dataset import (RepairPair, Submission, _read_text, build_records,
+                      corpus_stats, filter_pairs, load_archive, mask_record,
+                      pair_mask, pair_submissions)
 from .decoding import (DecodeLimits, DraftSource, accelerated_decode,
                        aggregate_reports, ar_decode, compute_metrics,
                        probe_backend, repair_prompt)
@@ -244,7 +244,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "backend": args.backend,
         "truncated": result.truncated,
-        "stats": result.stats.as_dict(),
+        "stats": result.stats._asdict(),
     }
     if args.compare:
         other = (accelerated_decode(backend, prompt, source, limits)
@@ -288,12 +288,12 @@ def _bench_pairs(path: Path) -> list[tuple[str, str, str]]:
             if not fixed.is_file():
                 raise RepairKitError(f"{buggy}: no matching {fixed.name}")
             stem = buggy.name[: -len(".buggy.c")]
-            triples.append((stem, buggy.read_text(), fixed.read_text()))
+            triples.append((stem, _read_text(buggy), _read_text(fixed)))
         if not triples:
             raise RepairKitError(f"{path}: no *.buggy.c files")
         return triples
     triples = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:

@@ -74,9 +74,17 @@ def _timestamp_key(sub: Submission) -> tuple[int, str] | tuple[int, int, str]:
         return (1, sub.timestamp)
 
 
+def _read_text(path: Path) -> str:
+    """``path.read_text()``, naming the file when it cannot be decoded."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise RepairKitError(f"{path}: {exc}") from exc
+
+
 def _load_jsonl(path: Path) -> list[Submission]:
     subs = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         try:
@@ -100,7 +108,7 @@ def _load_tree(root: Path) -> list[Submission]:
     if not manifest_path.is_file():
         raise RepairKitError(f"{root}: missing verdicts.json manifest")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise RepairKitError(f"{manifest_path}: bad manifest: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -120,7 +128,7 @@ def _load_tree(root: Path) -> list[Submission]:
             student_id=parts[1],
             timestamp=Path(parts[2]).stem,
             verdict=str(manifest[rel]),
-            code=src.read_text(),
+            code=_read_text(src),
         ))
     missing = set(manifest) - seen
     if missing:

@@ -104,34 +104,15 @@ class DecodeLimits(_DecodeLimits):
         return cls(*iterable)
 
 
-class DecodeStats:
-    """Counters of one decode, bumped in place on every forward pass."""
+class DecodeStats(NamedTuple):
+    """Counters of one decode, built once when the decode returns."""
 
-    __slots__ = ("forward_passes", "tokens_emitted", "draft_accepted",
-                 "corrections", "ar_fallback_tokens", "sim_cost")
-
-    def __init__(self, forward_passes: int = 0, tokens_emitted: int = 0,
-                 draft_accepted: int = 0, corrections: int = 0,
-                 ar_fallback_tokens: int = 0, sim_cost: float = 0.0) -> None:
-        self.forward_passes = forward_passes
-        self.tokens_emitted = tokens_emitted
-        self.draft_accepted = draft_accepted
-        self.corrections = corrections
-        self.ar_fallback_tokens = ar_fallback_tokens
-        self.sim_cost = sim_cost
-
-    def as_dict(self) -> dict:
-        """The counters by name, in the order of the constructor's parameters."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
-        return f"DecodeStats({fields})"
+    forward_passes: int = 0
+    tokens_emitted: int = 0
+    draft_accepted: int = 0
+    corrections: int = 0
+    ar_fallback_tokens: int = 0
+    sim_cost: float = 0.0
 
 
 class DecodeResult(NamedTuple):
@@ -224,11 +205,6 @@ def _forward(model: ModelBackend, tokens: Sequence[str]) -> list[str]:
     return preds
 
 
-def _dyn_cost(stats: DecodeStats, model_cost: CostModel, n: int) -> None:
-    stats.forward_passes += 1
-    stats.sim_cost += model_cost.cost(n)
-
-
 def ar_decode(model: ModelBackend, prompt: Sequence[str],
               max_tokens: int = DecodeLimits._field_defaults["max_tokens"],
               cost_model: CostModel = DEFAULT_COST) -> DecodeResult:
@@ -240,17 +216,18 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
     eos = model.eos_token
     ctx = list(prompt)
     out: list[str] = []
-    stats = DecodeStats()
+    sim_cost = 0.0
     while len(out) < max_tokens:
         preds = _forward(model, ctx)
-        _dyn_cost(stats, cost_model, len(ctx))
+        sim_cost += cost_model.cost(len(ctx))
         tok = preds[-1]
         out.append(tok)
         ctx.append(tok)
-        stats.tokens_emitted += 1
-        stats.ar_fallback_tokens += 1
         if tok == eos:
             break
+    n = len(out)
+    stats = DecodeStats(forward_passes=n, tokens_emitted=n,
+                        ar_fallback_tokens=n, sim_cost=sim_cost)
     return DecodeResult(out, stats, truncated=(not out or out[-1] != eos))
 
 
@@ -287,7 +264,8 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     eos, cap = model.eos_token, limits.max_tokens
     ctx = list(prompt)
     out: list[str] = []
-    stats = DecodeStats()
+    passes = draft_accepted = corrections = fallback_tokens = 0
+    sim_cost = 0.0
     anchor = 0
     bridge = limits.fallback_run
 
@@ -299,7 +277,8 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             # cand[j] is the model's next token after ctx + draft[:j].
             inp = ctx + draft
             preds = _forward(model, inp)
-            _dyn_cost(stats, cost_model, len(inp))
+            passes += 1
+            sim_cost += cost_model.cost(len(inp))
             _check_consistency(preds, ctx, len(prompt))
             cand = preds[len(ctx) - 1:]
             k = longest_matching_prefix(cand, draft)
@@ -310,8 +289,8 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
                 new = new[:new.index(eos) + 1]
             new = new[:run]
             accepted = min(k, len(new))
-            stats.draft_accepted += accepted
-            stats.corrections += len(new) - accepted
+            draft_accepted += accepted
+            corrections += len(new) - accepted
             anchor += accepted
             out += new
             ctx += new
@@ -324,11 +303,12 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
         # with the draft exhausted they decode the remainder.
         for _ in range(run):
             preds = _forward(model, ctx)
-            _dyn_cost(stats, cost_model, len(ctx))
+            passes += 1
+            sim_cost += cost_model.cost(len(ctx))
             tok = preds[-1]
             out.append(tok)
             ctx.append(tok)
-            stats.ar_fallback_tokens += 1
+            fallback_tokens += 1
             if tok == eos or (draft and tok in BOUNDARY_TOKENS):
                 break
         if draft:
@@ -338,7 +318,8 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             stalled = not k and out[-1] not in BOUNDARY_TOKENS
             bridge = bridge * 2 if stalled else limits.fallback_run
 
-    stats.tokens_emitted = len(out)
+    stats = DecodeStats(passes, len(out), draft_accepted, corrections,
+                        fallback_tokens, sim_cost)
     return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))
 
 

@@ -283,9 +283,10 @@ def run_test(binary: Path, case: TestCase, config: ExecutorConfig,
     start = time.perf_counter()
     with _input_file(binary.parent, case.input.encode()) as in_fh, \
             tempfile.TemporaryFile(dir=binary.parent) as out_fh:
+        # one byte past the cap, so that the read below sees a flood
         returncode, timed_out = _run_jailed(
             [str(binary)], binary.parent, in_fh, out_fh, subprocess.DEVNULL,
-            config.timeout_s, fsize=config.max_output_bytes)
+            config.timeout_s, fsize=config.max_output_bytes + 1)
         elapsed = time.perf_counter() - start
         out_fh.seek(0)
         data = out_fh.read(config.max_output_bytes + 1)

@@ -277,22 +277,22 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
     eos = model.eos_token
     ctx = list(prompt)
     out: list[str] = []
-    stats = DecodeStats()
+    counts = DecodeStats()._asdict()
     anchor = 0
     bridge = limits.fallback_run
     finished = False
 
     def forward(tokens):
-        stats.forward_passes += 1
-        stats.sim_cost += cost_model.cost(len(tokens))
+        counts["forward_passes"] += 1
+        counts["sim_cost"] += cost_model.cost(len(tokens))
         return model.forward(tokens)
 
     def emit(tok: str, bucket: str) -> bool:
         nonlocal finished
         out.append(tok)
         ctx.append(tok)
-        stats.tokens_emitted += 1
-        setattr(stats, bucket, getattr(stats, bucket) + 1)
+        counts["tokens_emitted"] += 1
+        counts[bucket] += 1
         if tok == eos:
             finished = True
             return True
@@ -346,7 +346,8 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
         else:
             bridge = limits.fallback_run
 
-    return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))
+    return DecodeResult(out, DecodeStats(**counts),
+                        truncated=not (out and out[-1] == eos))
 
 
 class _ScannerRef:

@@ -238,6 +238,21 @@ def test_dataset_unparsable_manifest_names_its_file(archive, capsys):
     assert "Traceback" not in err
 
 
+def test_dataset_non_utf8_file_names_its_file(tmp_path, capsys):
+    root = write_archive(tmp_path / "latin1", [
+        {"problem_id": "p1", "student_id": "s1", "timestamp": "1",
+         "verdict": "WA", "code": SUM_WRONG_OP},
+        {"problem_id": "p1", "student_id": "s1", "timestamp": "2",
+         "verdict": "OK", "code": SUM_OK},
+    ])
+    (root / "p1/s1/2.c").write_bytes(("/* caf\xe9 */\n" + SUM_OK).encode("latin-1"))
+    code, out, err = run_cli(["dataset", str(root)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "p1/s1/2.c" in err
+    assert "Traceback" not in err
+
+
 def test_dataset_without_pairs_exits_2(tmp_path, capsys):
     root = tmp_path / "solved"
     root.mkdir()

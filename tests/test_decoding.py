@@ -194,7 +194,7 @@ def _run_spied(decode, backend, prompt, buggy, limits):
     real = decoding.draft_generate
     with mock.patch.object(decoding, "draft_generate", spy):
         res = decode(backend, prompt, buggy, limits)
-    return res.tokens, res.truncated, res.stats.as_dict(), calls
+    return res.tokens, res.truncated, res.stats._asdict(), calls
 
 
 def _check_against_reference(backend, prompt, buggy, limits):

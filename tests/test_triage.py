@@ -130,6 +130,7 @@ def test_output_is_capped():
     report = triage_source(noisy, [TestCase("1 2\n", "3\n")], config)
     res = report.results[0]
     assert len(res.stdout.encode()) <= 1024
+    assert res.truncated
     assert not res.passed
     assert classify(report) is BugType.SEMANTIC_ERROR
 
