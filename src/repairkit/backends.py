@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .decoding import longest_matching_prefix, repair_prompt
-from .errors import DegenerateInputError, RepairKitError
+from .errors import DegenerateInputError, RepairKitError, read_text
 from .source import parse
 
 __all__ = [
@@ -106,7 +106,7 @@ class NGramBackend:
         files: list[Path] = []
         for pat in TRAINING_PATTERNS:
             files.extend(root.rglob(pat))
-        texts = [f.read_text() for f in sorted(set(files))]
+        texts = [read_text(f) for f in sorted(set(files))]
         if not texts:
             raise RepairKitError(f"no training files under {root}")
         return cls.from_texts(texts, order)

@@ -22,14 +22,15 @@ from typing import NoReturn
 
 from .backends import (EOS, NGramBackend, SeededRandomBackend,
                        TargetOracleBackend, make_repair_oracle)
-from .dataset import (RepairPair, Submission, _read_text, build_records,
-                      corpus_stats, filter_pairs, load_archive, mask_record,
-                      pair_mask, pair_submissions)
+from .dataset import (RepairPair, Submission, build_records, corpus_stats,
+                      filter_pairs, load_archive, mask_record, pair_mask,
+                      pair_submissions)
 from .decoding import (DecodeLimits, DraftSource, accelerated_decode,
                        aggregate_reports, ar_decode, compute_metrics,
                        probe_backend, repair_prompt)
 from .errors import (BackendContractError, DegenerateInputError,
-                     LosslessnessError, RepairKitError)
+                     LosslessnessError, RepairKitError, read_jsonl, read_text,
+                     string_field)
 from .mask import MaskConfig
 from .source import parse
 from .synthetic import render_tokens
@@ -75,16 +76,14 @@ def _mask_config(args: argparse.Namespace) -> MaskConfig:
 def cmd_mask(args: argparse.Namespace) -> int:
     cfg = _mask_config(args)
     buggy_path, fixed_path = Path(args.buggy), Path(args.fixed)
-    buggy_code = buggy_path.read_text()
-    fixed_code = fixed_path.read_text()
     pid = args.problem_id or buggy_path.stem
     pair_id = args.pair_id or f"{buggy_path.stem}:{fixed_path.stem}"
     pair = RepairPair(
         pair_id=pair_id,
         problem_id=pid,
         student_id="cli",
-        buggy=Submission(pid, "cli", "0", "WRONG", buggy_code),
-        fixed=Submission(pid, "cli", "1", "OK", fixed_code),
+        buggy=Submission(pid, "cli", "0", "WRONG", read_text(buggy_path)),
+        fixed=Submission(pid, "cli", "1", "OK", read_text(fixed_path)),
     )
     _, fixed_unit, mask = pair_mask(pair, cfg)
     record = mask_record(pair, fixed_unit, mask)
@@ -154,7 +153,7 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 def cmd_triage(args: argparse.Namespace) -> int:
     if args.prompt and not args.meta:
         _usage("--prompt needs --meta for the problem context")
-    code = Path(args.source).read_text()
+    code = read_text(args.source)
     config = ExecutorConfig.from_file(args.config) if args.config else ExecutorConfig()
     meta = load_problem_meta(args.meta) if args.meta else None
     tests = list(meta.tests) if meta else []
@@ -214,7 +213,7 @@ def _build_backend(args: argparse.Namespace, prompt: list[str],
     if args.backend == "oracle":
         if not args.target:
             _usage("--backend oracle needs --target FIXED_SOURCE")
-        target = parse(Path(args.target).read_text()).token_texts()
+        target = parse(read_text(args.target)).token_texts()
         backend = TargetOracleBackend()
         backend.script(prompt, list(target))
         return backend
@@ -227,7 +226,7 @@ def _build_backend(args: argparse.Namespace, prompt: list[str],
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    buggy_tokens = list(parse(Path(args.source).read_text()).token_texts())
+    buggy_tokens = list(parse(read_text(args.source)).token_texts())
     prompt = repair_prompt(buggy_tokens, args.bug_type)
     backend = _build_backend(args, prompt, buggy_tokens)
     if args.probe:
@@ -288,25 +287,13 @@ def _bench_pairs(path: Path) -> list[tuple[str, str, str]]:
             if not fixed.is_file():
                 raise RepairKitError(f"{buggy}: no matching {fixed.name}")
             stem = buggy.name[: -len(".buggy.c")]
-            triples.append((stem, _read_text(buggy), _read_text(fixed)))
+            triples.append((stem, read_text(buggy), read_text(fixed)))
         if not triples:
             raise RepairKitError(f"{path}: no *.buggy.c files")
         return triples
-    triples = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise TypeError(f"record must be a JSON object, got {type(rec).__name__}")
-            for key in ("buggy_code", "fixed_code"):
-                if not isinstance(rec[key], str):
-                    raise TypeError(f"{key} must be a string, got {type(rec[key]).__name__}")
-            triples.append((str(rec.get("pair_id", lineno)),
-                            rec["buggy_code"], rec["fixed_code"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise RepairKitError(f"{path}:{lineno}: bad repair pair record: {exc}") from exc
+    triples = read_jsonl(path, "repair pair", lambda rec, lineno: (
+        str(rec.get("pair_id", lineno)), string_field(rec, "buggy_code"),
+        string_field(rec, "fixed_code")))
     if not triples:
         raise RepairKitError(f"{path}: empty corpus")
     return triples

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 from zlib import crc32
 
 from .diffs import line_edit_distance
-from .errors import RepairKitError
+from .errors import RepairKitError, read_jsonl, read_text, string_field
 from .mask import MaskConfig, MaskVector, build_mask
 from .source import SourceUnit, parse
 
@@ -74,33 +74,9 @@ def _timestamp_key(sub: Submission) -> tuple[int, str] | tuple[int, int, str]:
         return (1, sub.timestamp)
 
 
-def _read_text(path: Path) -> str:
-    """``path.read_text()``, naming the file when it cannot be decoded."""
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise RepairKitError(f"{path}: {exc}") from exc
-
-
-def _load_jsonl(path: Path) -> list[Submission]:
-    subs = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-            if not isinstance(rec["code"], str):
-                raise TypeError(f"code must be a string, got {type(rec['code']).__name__}")
-            subs.append(Submission(
-                problem_id=str(rec["problem_id"]),
-                student_id=str(rec["student_id"]),
-                timestamp=str(rec["timestamp"]),
-                verdict=str(rec["verdict"]),
-                code=rec["code"],
-            ))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise RepairKitError(f"{path}:{lineno}: bad submission record: {exc}") from exc
-    return subs
+def _submission(rec: dict, lineno: int) -> Submission:
+    return Submission(str(rec["problem_id"]), str(rec["student_id"]), str(rec["timestamp"]),
+                      str(rec["verdict"]), string_field(rec, "code"))
 
 
 def _load_tree(root: Path) -> list[Submission]:
@@ -108,7 +84,7 @@ def _load_tree(root: Path) -> list[Submission]:
     if not manifest_path.is_file():
         raise RepairKitError(f"{root}: missing verdicts.json manifest")
     try:
-        manifest = json.loads(_read_text(manifest_path))
+        manifest = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise RepairKitError(f"{manifest_path}: bad manifest: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -128,7 +104,7 @@ def _load_tree(root: Path) -> list[Submission]:
             student_id=parts[1],
             timestamp=Path(parts[2]).stem,
             verdict=str(manifest[rel]),
-            code=_read_text(src),
+            code=read_text(src),
         ))
     missing = set(manifest) - seen
     if missing:
@@ -141,7 +117,7 @@ def load_archive(path: str | Path) -> list[Submission]:
     if p.is_dir():
         return _load_tree(p)
     if p.is_file():
-        return _load_jsonl(p)
+        return read_jsonl(p, "submission", _submission)
     raise RepairKitError(f"{path}: no such archive")
 
 

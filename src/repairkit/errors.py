@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the file readers that name their file in them."""
+
+import json
+from pathlib import Path
+from typing import Callable
 
 
 class RepairKitError(Exception):
@@ -15,3 +19,35 @@ class BackendContractError(RepairKitError):
 
 class LosslessnessError(RepairKitError):
     """Accelerated decoding produced output that differs from plain greedy decoding."""
+
+
+def read_text(path: str | Path) -> str:
+    """``path.read_text()``, naming the file when it cannot be decoded."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise RepairKitError(f"{path}: {exc}") from exc
+
+
+def string_field(record: dict, key: str) -> str:
+    """``record[key]``, which must be a string."""
+    value = record[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
+    return value
+
+
+def read_jsonl(path: Path, what: str, make: Callable[[dict, int], object]) -> list:
+    """``make(record, lineno)`` for each JSON object line; a bad line is named."""
+    items = []
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError(f"record must be a JSON object, got {type(record).__name__}")
+            items.append(make(record, lineno))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise RepairKitError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+    return items

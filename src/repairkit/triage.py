@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, Sequence
 
-from .errors import RepairKitError
+from .errors import RepairKitError, read_text
 
 __all__ = [
     "BugType",
@@ -102,7 +102,7 @@ class ExecutorConfig(_ExecutorConfig):
         converters = {name: type(default)
                       for name, default in cls._field_defaults.items()}
         kwargs: dict[str, object] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -352,7 +352,7 @@ def load_problem_meta(path: str | Path) -> ProblemMeta:
         return RepairKitError(f"{path}: bad problem meta: {why}")
 
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise bad(exc) from exc
     if not isinstance(data, dict):

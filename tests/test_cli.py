@@ -213,18 +213,24 @@ def test_dataset_stats_parse_each_file_once(tmp_path, capsys, monkeypatch):
     assert stats["median_tokens"] == statistics.median(tokens)
 
 
-@pytest.mark.parametrize("code", [None, 5], ids=["null", "number"])
-def test_dataset_rejects_non_string_code(tmp_path, capsys, code):
+def _submission_line(timestamp: str, verdict: str, code: object) -> str:
+    return json.dumps({"problem_id": "p1", "student_id": "s1", "timestamp": timestamp,
+                       "verdict": verdict, "code": code})
+
+
+@pytest.mark.parametrize("line, reason", [
+    (_submission_line("1", "WA", None), "code must be a string, got NoneType"),
+    (_submission_line("1", "WA", 5), "code must be a string, got int"),
+    ("[1, 2]", "record must be a JSON object, got list"),
+], ids=["null", "number", "list"])
+def test_dataset_rejects_non_string_code(tmp_path, capsys, line, reason):
     # a later accepted attempt pairs with it, so nothing stops before the code is used
     archive = tmp_path / "subs.jsonl"
-    archive.write_text("".join(
-        json.dumps({"problem_id": "p1", "student_id": "s1", "timestamp": ts,
-                    "verdict": verdict, "code": c}) + "\n"
-        for ts, verdict, c in [("1", "WA", code), ("2", "OK", SUM_OK)]))
+    archive.write_text(line + "\n" + _submission_line("2", "OK", SUM_OK) + "\n")
     exit_code, out, err = run_cli(["dataset", str(archive)], capsys)
     assert exit_code == 1
     assert out == ""
-    assert f"{archive}:1: bad submission record" in err
+    assert f"{archive}:1: bad submission record: {reason}" in err
     assert "Traceback" not in err
 
 
@@ -250,6 +256,29 @@ def test_dataset_non_utf8_file_names_its_file(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "p1/s1/2.c" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mask", "train/latin1.c", "good.c"],
+    ["mask", "good.c", "train/latin1.c"],
+    ["triage", "train/latin1.c"],
+    ["triage", "good.c", "--meta", "train/latin1.c"],
+    ["triage", "good.c", "--config", "train/latin1.c"],
+    ["repair", "train/latin1.c", "--backend", "random"],
+    ["repair", "good.c", "--backend", "oracle", "--target", "train/latin1.c"],
+    ["repair", "good.c", "--backend", "ngram", "--train-dir", "train"],
+], ids=["mask-buggy", "mask-fixed", "triage-source", "triage-meta", "triage-config",
+        "repair-source", "repair-target", "repair-train-dir"])
+def test_non_utf8_input_names_its_file(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("good.c").write_text(SUM_OK)
+    Path("train").mkdir()
+    Path("train/latin1.c").write_bytes(("/* caf\xe9 */\n" + SUM_OK).encode("latin-1"))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "train/latin1.c" in err
     assert "Traceback" not in err
 
 

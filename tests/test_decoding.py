@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -393,6 +395,27 @@ def test_scaling_script_writes_its_rows(tmp_path, capsys):
         "step_efficiency", "speedup"}] * 2
     assert [row["forward_passes_acc"] for row in rows] == [9, 17]
     assert "wrote 2 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact", ["corpus", "decode"])
+def test_digest_script_prints_one_digest_per_seed(artifact, capsys):
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    before = {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")}
+    cwd = os.getcwd()
+    assert _script("digest").main([artifact, "--seeds", "1"]) == 0
+    assert os.getcwd() == cwd
+    assert re.fullmatch(r"seed 1: [0-9a-f]{64}\n", capsys.readouterr().out)
+    assert {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")} == before
+
+
+@pytest.mark.parametrize("argv", [["corpus", "--seeds", "0"], ["traces"]],
+                         ids=["zero-seeds", "unknown-artifact"])
+def test_digest_script_rejects_bad_arguments(argv, capsys):
+    # --seeds 0 used to print nothing, so any two checkouts "matched"
+    with pytest.raises(SystemExit) as exc:
+        _script("digest").main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
