@@ -31,7 +31,7 @@ from .decoding import (DecodeLimits, DraftSource, accelerated_decode,
 from .errors import (BackendContractError, DegenerateInputError,
                      LosslessnessError, RepairKitError, read_jsonl, read_text,
                      string_field)
-from .mask import MaskConfig
+from .mask import AGGREGATIONS, GRANULARITIES, STRATEGIES, MaskConfig
 from .source import parse
 from .synthetic import render_tokens
 from .triage import (BugType, ExecutorConfig, build_prompt, classify,
@@ -122,9 +122,9 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     dropped = len(pairs) - len(kept)
     if not kept:
         raise DegenerateInputError("no repair pairs survive pairing and filtering")
-    records = build_records(kept, cfg)
+    records, buggy_tokens = build_records(kept, cfg)
 
-    stats = corpus_stats(kept, records.buggy_tokens)
+    stats = corpus_stats(kept, buggy_tokens)
     stats["dropped_restructuring"] = dropped
     if args.stats:
         Path(args.stats).write_text(_dump(stats))
@@ -153,7 +153,9 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 def cmd_triage(args: argparse.Namespace) -> int:
     if args.prompt and not args.meta:
         _usage("--prompt needs --meta for the problem context")
-    code = read_text(args.source)
+    # gcc takes any bytes: keep them through to the compiler
+    data = Path(args.source).read_bytes()
+    code = data.decode("utf-8", errors="surrogateescape")
     config = ExecutorConfig.from_file(args.config) if args.config else ExecutorConfig()
     meta = load_problem_meta(args.meta) if args.meta else None
     tests = list(meta.tests) if meta else []
@@ -179,7 +181,8 @@ def cmd_triage(args: argparse.Namespace) -> int:
         ],
     }
     if args.prompt:
-        payload["prompt"] = build_prompt(meta, bug, code)
+        # a lone surrogate would make the human report's print raise
+        payload["prompt"] = build_prompt(meta, bug, data.decode("utf-8", errors="replace"))
 
     if args.json or args.out:
         _emit(args, _dump(payload))
@@ -340,12 +343,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _add_mask_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=("M1", "M2", "M3", "M4"), default="M4")
-    p.add_argument("--sigma", type=float, default=0.6,
-                   help="padding upper bound in (0, 1] (default 0.6)")
-    p.add_argument("--granularity", choices=("char", "token"), default="char",
+    defaults = MaskConfig._field_defaults
+    p.add_argument("--strategy", choices=STRATEGIES, default=defaults["strategy"])
+    p.add_argument("--sigma", type=float, default=defaults["sigma"],
+                   help="padding upper bound in (0, 1] (default %(default)s)")
+    p.add_argument("--granularity", choices=GRANULARITIES,
+                   default=defaults["dist_granularity"],
                    help="edit distance granularity for similarity weights")
-    p.add_argument("--aggregation", choices=("floor", "cap"), default="floor",
+    p.add_argument("--aggregation", choices=AGGREGATIONS,
+                   default=defaults["expansion_aggregation"],
                    help="clamp for summed similarity: floor=max(1,s), cap=min(1,s)")
 
 

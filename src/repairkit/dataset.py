@@ -32,7 +32,6 @@ __all__ = [
     "pair_seed",
     "pair_mask",
     "mask_record",
-    "Records",
     "build_records",
     "corpus_stats",
 ]
@@ -202,21 +201,10 @@ def mask_record(pair: RepairPair, fixed_unit: SourceUnit, mask: MaskVector) -> d
     }
 
 
-class Records(list):
-    """The corpus records of :func:`build_records`, a plain list of dicts.
-
-    ``buggy_tokens`` holds the code-token count of each record's buggy file,
-    in record order, taken from the parse the mask build already made; it is
-    what :func:`corpus_stats` takes.
-    """
-
-    def __init__(self, records: list[dict], buggy_tokens: list[int]):
-        super().__init__(records)
-        self.buggy_tokens = tuple(buggy_tokens)
-
-
-def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> Records:
-    """Corpus records for ``pairs``, sorted by pair id.
+def build_records(pairs: list[RepairPair], config: MaskConfig | None = None,
+                  ) -> tuple[list[dict], list[int]]:
+    """Corpus records for ``pairs``, sorted by pair id, and the code-token
+    count of each record's buggy file, which :func:`corpus_stats` takes.
 
     A student's wrong attempts all pair with the same accepted submission
     and sit next to each other in pair-id order, so each pair reuses the
@@ -231,7 +219,7 @@ def build_records(pairs: list[RepairPair], config: MaskConfig | None = None) -> 
         fixed = pair.fixed
         records.append(mask_record(pair, fixed_unit, mask))
         buggy_tokens.append(len(buggy_unit.code_tokens()))
-    return Records(records, buggy_tokens)
+    return records, buggy_tokens
 
 
 def _mean(xs: Sequence[int]) -> float:
@@ -250,8 +238,8 @@ def corpus_stats(pairs: list[RepairPair], buggy_tokens: Sequence[int]) -> dict:
     """Summary numbers for a paired corpus (buggy side).
 
     ``buggy_tokens`` is the code-token count of each pair's buggy file, in
-    any order (the statistics do not depend on it), such as
-    ``build_records(pairs).buggy_tokens``.
+    any order (the statistics do not depend on it), such as the second item
+    of ``build_records(pairs)``.
     """
     if len(buggy_tokens) != len(pairs):
         raise ValueError(f"{len(buggy_tokens)} token counts for {len(pairs)} pairs")

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Protocol, Sequence
 
-from .errors import BackendContractError, DegenerateInputError, LosslessnessError
+from .errors import (BackendContractError, Checked, DegenerateInputError,
+                     LosslessnessError)
 
 __all__ = [
     "BOUNDARY_TOKENS",
@@ -84,24 +85,17 @@ class _DecodeLimits(NamedTuple):
     fallback_run: int = 5
 
 
-class DecodeLimits(_DecodeLimits):
+class DecodeLimits(Checked, _DecodeLimits):
     """``fallback_run`` is the first greedy bridge after a draft miss; the
     bridge doubles while the model ignores the draft (0 disables it)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> DecodeLimits:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.fallback_run < 0:
             raise ValueError("fallback_run must be >= 0")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> DecodeLimits:
-        # _replace builds through _make, which would skip the checks
-        return cls(*iterable)
 
 
 class DecodeStats(NamedTuple):

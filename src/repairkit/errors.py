@@ -1,4 +1,5 @@
-"""Shared exception types, and the file readers that name their file in them."""
+"""Shared exception types, the validated-config base, and the file readers
+that name their file in their errors."""
 
 import json
 from pathlib import Path
@@ -19,6 +20,23 @@ class BackendContractError(RepairKitError):
 
 class LosslessnessError(RepairKitError):
     """Accelerated decoding produced output that differs from plain greedy decoding."""
+
+
+class Checked:
+    """Mixin for a NamedTuple config, listed before it: every construction,
+    ``_replace`` included, runs the subclass's ``_check``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
 
 def read_text(path: str | Path) -> str:

@@ -11,9 +11,9 @@ three steps:
    ``[0.05, sigma]``.
 
 Strategy ``M1`` runs step 1 only, ``M2`` steps 1+3, ``M3`` steps 1+2 and
-``M4`` all three.  Under ``M3`` the statements neither touched nor expanded
-still receive their raw similarity mass so every weight stays positive.
-The final mask is normalized to sum to 1.
+``M4`` all three (``STRATEGIES``).  Under ``M3`` the statements neither
+touched nor expanded still receive their raw similarity mass so every
+weight stays positive.  The final mask is normalized to sum to 1.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import random
 from typing import NamedTuple, Sequence
 
 from .diffs import AlignedDiff, align_statements, levenshtein
-from .errors import DegenerateInputError
-from .source import (SourceUnit, Statement, extract_facts, parse,
-                     same_block_statements)
+from .errors import Checked, DegenerateInputError
+from .source import SourceUnit, extract_facts, parse, same_block_statements
 from .source import _TOKEN_RE  # reuse the lexer for token-granular distances
 
 __all__ = [
@@ -45,36 +44,33 @@ __all__ = [
 
 PADDING_FLOOR = 0.05
 
-STRATEGIES = ("M1", "M2", "M3", "M4")
+# each strategy's steps after step 1: (expand to related statements, pad the rest)
+STRATEGIES = {"M1": (False, False), "M2": (False, True),
+              "M3": (True, False), "M4": (True, True)}
+GRANULARITIES = ("char", "token")
+AGGREGATIONS = ("floor", "cap")  # clamp the summed similarity: max(1, s) or min(1, s)
 
 
 class _MaskConfig(NamedTuple):
     strategy: str = "M4"
     sigma: float = 0.6
     rng_seed: int = 0
-    dist_granularity: str = "char"          # or "token"
-    expansion_aggregation: str = "floor"    # max(1, sum) — or "cap": min(1, sum)
+    dist_granularity: str = "char"
+    expansion_aggregation: str = "floor"
 
 
-class MaskConfig(_MaskConfig):
+class MaskConfig(Checked, _MaskConfig):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> MaskConfig:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must be in (0, 1]")
-        if self.dist_granularity not in ("char", "token"):
+        if self.dist_granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.dist_granularity!r}")
-        if self.expansion_aggregation not in ("floor", "cap"):
+        if self.expansion_aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.expansion_aggregation!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> MaskConfig:
-        # _replace builds through _make, which would skip the checks
-        return cls(*iterable)
 
 
 class MaskVector(NamedTuple):
@@ -102,30 +98,23 @@ def similarity_from_distance(dist: float) -> float:
     return 1.0 / (2.0 + math.log(dist))
 
 
-def _stmt_text(s: Statement | str) -> str:
-    return s.normalized if isinstance(s, Statement) else s
-
-
-def statement_distance(e: Statement | str, m: Statement | str,
-                       cfg: MaskConfig | None = None) -> int:
+def statement_distance(e: str, m: str, cfg: MaskConfig | None = None) -> int:
+    """Edit distance of two statement texts, by character or by token."""
     cfg = cfg or MaskConfig()
-    a, b = _stmt_text(e), _stmt_text(m)
     if cfg.dist_granularity == "token":
-        return levenshtein(_TOKEN_RE.findall(a), _TOKEN_RE.findall(b))
-    return levenshtein(a, b)
+        return levenshtein(_TOKEN_RE.findall(e), _TOKEN_RE.findall(m))
+    return levenshtein(e, m)
 
 
-def similarity(e: Statement | str, m: Statement | str,
-               cfg: MaskConfig | None = None) -> float:
+def similarity(e: str, m: str, cfg: MaskConfig | None = None) -> float:
     return similarity_from_distance(statement_distance(e, m, cfg))
 
 
-def _relatedness(e: Statement | str, sources: Sequence[str],
-                 cfg: MaskConfig) -> float:
+def _relatedness(e: str, sources: Sequence[str], cfg: MaskConfig) -> float:
     return sum(similarity(e, s, cfg) for s in sources)
 
 
-def expansion_weight(e: Statement | str, sources: Sequence[str],
+def expansion_weight(e: str, sources: Sequence[str],
                      cfg: MaskConfig | None = None) -> float:
     """Aggregate similarity of ``e`` against every modified statement."""
     cfg = cfg or MaskConfig()
@@ -199,21 +188,23 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
         roles[idx] = "modified"
 
     sources = _modification_sources(diff)
+    expand, pad = STRATEGIES[cfg.strategy]
+    expand = expand and bool(sources)
 
-    if cfg.strategy in ("M3", "M4") and sources:
+    if expand:
         for idx in expansion_members(diff):
-            raw[idx] = expansion_weight(fixed.statements[idx], sources, cfg)
+            raw[idx] = expansion_weight(fixed.statements[idx].normalized, sources, cfg)
             roles[idx] = "expanded"
 
-    if cfg.strategy in ("M2", "M4"):
+    if pad:
         for idx in range(n):
             if roles[idx] == "zero":
                 raw[idx] = _padding_value(cfg.rng_seed, idx, cfg.sigma)
                 roles[idx] = "padding"
-    elif cfg.strategy == "M3" and sources:
+    elif expand:
         for idx in range(n):
             if roles[idx] == "zero":
-                raw[idx] = _relatedness(fixed.statements[idx], sources, cfg)
+                raw[idx] = _relatedness(fixed.statements[idx].normalized, sources, cfg)
                 roles[idx] = "relatedness"
 
     total = sum(raw)
@@ -239,19 +230,12 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
     )
 
 
-def broadcast_to_tokens(mask: MaskVector | Sequence[float],
-                        fixed: SourceUnit) -> tuple[float, ...]:
-    """Spread statement weights over tokens.
+def broadcast_to_tokens(k: Sequence[float], fixed: SourceUnit) -> tuple[float, ...]:
+    """Spread the statement weights ``k`` of ``fixed`` over its tokens.
 
     Each statement's weight is split equally among its code tokens; comment
     tokens get the padding floor.  The result is renormalized to sum to 1.
     """
-    if isinstance(mask, MaskVector):
-        if mask.normalized is None:
-            raise DegenerateInputError("mask has no normalized weights")
-        k = mask.normalized
-    else:
-        k = tuple(mask)
     if len(k) != len(fixed.statements):
         raise ValueError(
             f"mask length {len(k)} != statement count {len(fixed.statements)}"

@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, Sequence
 
-from .errors import RepairKitError, read_text
+from .errors import Checked, RepairKitError, read_text
 
 __all__ = [
     "BugType",
@@ -64,13 +64,12 @@ class _ExecutorConfig(NamedTuple):
     max_output_bytes: int = 1 << 20
 
 
-class ExecutorConfig(_ExecutorConfig):
+class ExecutorConfig(Checked, _ExecutorConfig):
     """Knobs for the sandboxed compile-and-run step."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> ExecutorConfig:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for timeout in (self.timeout_s, self.compile_timeout_s):
             # nan fails every comparison, so it would pass a plain `<= 0` test;
             # nan or inf would turn the limit off
@@ -85,12 +84,6 @@ class ExecutorConfig(_ExecutorConfig):
         except (ValueError, LookupError, AttributeError) as exc:
             # an unclosed quote, a stray brace, or a field other than src and out
             raise ValueError(f"bad compiler_cmd {self.compiler_cmd!r}: {exc!r}") from exc
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> ExecutorConfig:
-        # _replace builds through _make, which would skip the checks
-        return cls(*iterable)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExecutorConfig":
@@ -245,7 +238,8 @@ def _run_jailed(argv: list[str], jail: Path, stdin, stdout, stderr, timeout_s: f
 def compile_source(code: str, config: ExecutorConfig, jail: Path) -> tuple[bool, str, Path]:
     src = jail / "main.c"
     out = jail / "main.bin"
-    src.write_text(code)
+    # a source read with surrogateescape gets its original bytes back
+    src.write_text(code, encoding="utf-8", errors="surrogateescape")
     argv = _compiler_argv(config.compiler_cmd, str(src), str(out))
     # no file-size cap: a linked binary may exceed max_output_bytes
     with tempfile.TemporaryFile(dir=jail) as err_fh:
@@ -383,15 +377,6 @@ def load_problem_meta(path: str | Path) -> ProblemMeta:
     )
 
 
-_PROMPT_SECTIONS = (
-    "Problem Description",
-    "Input/Output Format",
-    "Example IOs",
-    "Bug Type",
-    "Buggy Code",
-)
-
-
 def _format_examples(meta: ProblemMeta) -> str:
     graded = {(t.input, t.expected) for t in meta.tests}
     shown = [ex for ex in meta.example_ios if ex not in graded]
@@ -405,12 +390,11 @@ def build_prompt(meta: ProblemMeta, bug_type: BugType | None, buggy_code: str) -
     Example IOs that duplicate a graded test are left out so the prompt never
     leaks the held-out expectations.
     """
-    bodies = {
-        "Problem Description": meta.description.strip(),
-        "Input/Output Format": meta.io_format.strip(),
-        "Example IOs": _format_examples(meta),
-        "Bug Type": bug_type.value if bug_type is not None else "",
-        "Buggy Code": buggy_code.rstrip(),
-    }
-    return "\n\n".join(f"## {name}\n{bodies[name] or 'N/A'}"
-                       for name in _PROMPT_SECTIONS) + "\n"
+    sections = (
+        ("Problem Description", meta.description.strip()),
+        ("Input/Output Format", meta.io_format.strip()),
+        ("Example IOs", _format_examples(meta)),
+        ("Bug Type", bug_type.value if bug_type is not None else ""),
+        ("Buggy Code", buggy_code.rstrip()),
+    )
+    return "\n\n".join(f"## {name}\n{body or 'N/A'}" for name, body in sections) + "\n"

@@ -262,13 +262,12 @@ def test_dataset_non_utf8_file_names_its_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["mask", "train/latin1.c", "good.c"],
     ["mask", "good.c", "train/latin1.c"],
-    ["triage", "train/latin1.c"],
     ["triage", "good.c", "--meta", "train/latin1.c"],
     ["triage", "good.c", "--config", "train/latin1.c"],
     ["repair", "train/latin1.c", "--backend", "random"],
     ["repair", "good.c", "--backend", "oracle", "--target", "train/latin1.c"],
     ["repair", "good.c", "--backend", "ngram", "--train-dir", "train"],
-], ids=["mask-buggy", "mask-fixed", "triage-source", "triage-meta", "triage-config",
+], ids=["mask-buggy", "mask-fixed", "triage-meta", "triage-config",
         "repair-source", "repair-target", "repair-train-dir"])
 def test_non_utf8_input_names_its_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -280,6 +279,22 @@ def test_non_utf8_input_names_its_file(tmp_path, monkeypatch, capsys, argv):
     assert out == ""
     assert "train/latin1.c" in err
     assert "Traceback" not in err
+
+
+def test_triage_compiles_a_non_utf8_source(tmp_path, capsys):
+    # gcc takes the bytes as they are; only the prompt shows U+FFFD for them
+    src = tmp_path / "latin1.c"
+    code = "/* caf\xe9 */\nstatic const char *name = \"caf\xe9\";\n" + SUM_OK
+    src.write_bytes(code.encode("latin-1"))
+    meta = write_problem_meta(tmp_path / "p1.json")
+    rc, out, err = run_cli(
+        ["triage", str(src), "--meta", str(meta), "--json", "--prompt"], capsys)
+    assert rc == 0, err
+    payload = json.loads(out)
+    assert payload["compile_ok"] is True
+    assert payload["bug_type"] is None
+    assert "/* caf\ufffd */" in payload["prompt"]
+    assert '"caf\ufffd"' in payload["prompt"]
 
 
 def test_dataset_without_pairs_exits_2(tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_pair_seed_mixes_both_inputs():
 
 def test_record_shape():
     pair = _pair(SUM_WRONG_OP, SUM_OK)
-    rec = build_records([pair], MaskConfig(strategy="M4", rng_seed=3))[0]
+    rec = build_records([pair], MaskConfig(strategy="M4", rng_seed=3))[0][0]
     assert rec["pair_id"] == pair.pair_id
     assert rec["strategy"] == "M4"
     assert rec["seed"] == pair_seed(3, pair.pair_id)
@@ -218,8 +218,8 @@ def test_records_sorted_and_deterministic():
         _pair(SUM_EXTRA_WS, SUM_OK, pid="p1/s2/100"),
     ]
     config = MaskConfig(rng_seed=11)
-    first = build_records(pairs, config)
-    second = build_records(list(reversed(pairs)), config)
+    first, _ = build_records(pairs, config)
+    second, _ = build_records(list(reversed(pairs)), config)
     assert [r["pair_id"] for r in first] == ["p1/s2/100", "p1/s9/100", "p2/s1/100"]
     assert first == second
 
@@ -229,7 +229,7 @@ def test_corpus_stats():
         _pair(SUM_WRONG_OP, SUM_OK),
         _pair(SUM_EXTRA_WS, SUM_OK, pid="p2/s2/100"),
     ]
-    stats = corpus_stats(pairs, build_records(pairs).buggy_tokens)
+    stats = corpus_stats(pairs, build_records(pairs)[1])
     assert stats["pairs"] == 2
     assert stats["problems"] == 2
     assert stats["students"] == 2
@@ -244,7 +244,7 @@ def test_corpus_stats_takes_given_token_counts():
         _pair(SUM_EXTRA_WS, SUM_OK, pid="p2/s2/100"),
     ]
     parsed = [len(parse(p.buggy.code).code_tokens()) for p in pairs]
-    assert build_records(pairs).buggy_tokens == tuple(parsed)
+    assert build_records(pairs)[1] == parsed
     stats = corpus_stats(pairs, [10, 30])
     assert (stats["avg_tokens"], stats["median_tokens"]) == (20.0, 20.0)
     with pytest.raises(ValueError):

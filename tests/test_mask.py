@@ -318,6 +318,34 @@ def test_degenerate_mask_refuses_loss():
         repair_loss([0.0] * len(mask.raw), mask)
 
 
+def test_token_level_loss_of_all_ones_is_the_token_weight_sum():
+    mask = build_mask(BUGGY, FIXED, MaskConfig(strategy="M4"))
+    got = repair_loss([1.0] * len(mask.token_k), mask, level="token")
+    assert got == sum(mask.token_k)
+    assert got == pytest.approx(1.0, abs=1e-12)
+
+
+def test_token_level_one_hot_loss_is_that_token_weight():
+    mask = build_mask(BUGGY, FIXED, MaskConfig(strategy="M4"))
+    n = len(mask.token_k)
+    for hot in (0, n // 2, n - 1):
+        losses = [1.0 if i == hot else 0.0 for i in range(n)]
+        assert repair_loss(losses, mask, level="token") == mask.token_k[hot]
+
+
+def test_unknown_loss_level_raises():
+    mask = build_mask(BUGGY, FIXED, MaskConfig(strategy="M4"))
+    with pytest.raises(ValueError, match="unknown loss level 'line'"):
+        repair_loss([1.0] * len(mask.raw), mask, level="line")
+
+
+def test_degenerate_mask_refuses_token_level_loss():
+    mask = build_mask(FIXED, FIXED, MaskConfig(strategy="M1"))
+    assert mask.token_k is None
+    with pytest.raises(DegenerateInputError):
+        repair_loss([0.0] * len(parse(FIXED).tokens), mask, level="token")
+
+
 def test_length_mismatch_raises():
     mask = build_mask(BUGGY, FIXED, MaskConfig(strategy="M4"))
     with pytest.raises(ValueError):

@@ -3,12 +3,16 @@
 ``perfbench`` wraps repairkit functions by module and attribute name, and its
 ``ForwardProxy`` copies attributes off the backend it wraps.  A rename or
 removal on the repairkit side would only show up as an ``AttributeError`` in
-a traced benchmark run; these tests catch it in the suite instead.
+a traced benchmark run; these tests catch it in the suite instead.  They also
+run perfbench's selftest, so that output its checks would reject fails here
+rather than at the benchmark.
 """
 
 from __future__ import annotations
 
 import importlib
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +67,19 @@ def test_forward_proxy_wraps_every_backend(harness, make):
     proxy = tracing.ForwardProxy(backend, None, "backends.forward")
     assert proxy.forward(prompt) == backend.forward(prompt)
     assert (proxy.passes, proxy.positions) == (1, len(prompt))
+
+
+def test_perfbench_selftest_accepts_real_output():
+    # perfbench's checks must accept what repairkit writes now, and still
+    # reject each corrupted copy; the selftest leaves an empty .work behind
+    work = PERFBENCH / ".work"
+    existed = work.exists()
+    try:
+        proc = subprocess.run([sys.executable, "-B", str(PERFBENCH / "selftest.py")],
+                              cwd=PERFBENCH.parent, capture_output=True, text=True,
+                              timeout=120)
+    finally:
+        if not existed:
+            shutil.rmtree(work, ignore_errors=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest: 36/36 as expected" in proc.stdout
