@@ -36,8 +36,8 @@ def run_cell(length: int, regions: int, seed: int) -> dict:
     return {
         "length": length,
         "regions": regions,
-        "forward_passes_ar": ar.stats.forward_passes,
-        "forward_passes_acc": acc.stats.forward_passes,
+        "forward_passes_ar": report.forward_passes_ar,
+        "forward_passes_acc": report.forward_passes_acc,
         "step_efficiency": report.step_efficiency,
         "speedup": report.speedup,
     }

@@ -11,7 +11,7 @@ from .backends import (EOS, NGramBackend, SeededRandomBackend,
                        TargetOracleBackend, make_repair_oracle)
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, pair_submissions)
-from .decoding import (BOUNDARY_TOKENS, CostModel, DecodeLimits, DecodeResult,
+from .decoding import (BOUNDARY_TOKENS, DecodeLimits, DecodeResult,
                        DecodeStats, DraftSource, EfficiencyReport,
                        accelerated_decode, aggregate_reports, ar_decode,
                        chunk_token_ranges, compute_metrics, draft_generate,
@@ -42,7 +42,7 @@ __all__ = [
     "MaskConfig", "MaskVector", "build_mask", "broadcast_to_tokens",
     "repair_loss", "similarity", "similarity_from_distance", "expansion_weight",
     # decoding
-    "BOUNDARY_TOKENS", "CostModel", "DecodeLimits", "DecodeResult",
+    "BOUNDARY_TOKENS", "DecodeLimits", "DecodeResult",
     "DecodeStats", "DraftSource", "EfficiencyReport", "accelerated_decode",
     "ar_decode", "aggregate_reports", "chunk_token_ranges", "compute_metrics",
     "draft_generate", "longest_matching_prefix", "probe_backend", "repair_prompt",

@@ -199,10 +199,10 @@ class SeededRandomBackend:
         return preds[:]
 
 
-def make_repair_oracle(buggy: Sequence[str],
-                       fixed: Sequence[str]) -> TargetOracleBackend:
-    """Oracle scripted to emit the fixed tokens after ``repair_prompt(buggy)``,
-    which it exposes as ``backend.prompt``."""
+def make_repair_oracle(buggy: Sequence[str], fixed: Sequence[str],
+                       bug_type: str | None = None) -> TargetOracleBackend:
+    """Oracle scripted to emit the fixed tokens after
+    ``repair_prompt(buggy, bug_type)``, which it exposes as ``backend.prompt``."""
     backend = TargetOracleBackend()
-    backend.script(repair_prompt(buggy), fixed)
+    backend.script(repair_prompt(buggy, bug_type), fixed)
     return backend

@@ -20,8 +20,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .backends import (EOS, NGramBackend, SeededRandomBackend,
-                       TargetOracleBackend, make_repair_oracle)
+from .backends import EOS, NGramBackend, SeededRandomBackend, make_repair_oracle
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, mask_record, pair_mask,
                       pair_submissions)
@@ -217,30 +216,30 @@ def _build_backend(args: argparse.Namespace, prompt: list[str],
         if not args.target:
             _usage("--backend oracle needs --target FIXED_SOURCE")
         target = parse(read_text(args.target)).token_texts()
-        backend = TargetOracleBackend()
-        backend.script(prompt, list(target))
-        return backend
+        return make_repair_oracle(buggy_tokens, target, args.bug_type)
     if args.backend == "ngram":
         if not args.train_dir:
             _usage("--backend ngram needs --train-dir")
         return NGramBackend.from_dir(args.train_dir, order=args.order)
-    vocab = sorted(set(buggy_tokens) | set(prompt))
-    return SeededRandomBackend(args.seed, vocab)
+    # the prompt holds every buggy token
+    return SeededRandomBackend(args.seed, sorted(set(prompt)))
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    buggy_tokens = list(parse(read_text(args.source)).token_texts())
+    buggy_tokens = parse(read_text(args.source)).token_texts()
     prompt = repair_prompt(buggy_tokens, args.bug_type)
     backend = _build_backend(args, prompt, buggy_tokens)
     if args.probe:
         probe_backend(backend, prompt)
     limits = DecodeLimits(max_tokens=args.max_tokens, fallback_run=args.fallback_run)
 
-    source = DraftSource.from_tokens(buggy_tokens)
-    if args.mode == "ar":
-        result = ar_decode(backend, prompt, limits.max_tokens)
-    else:
-        result = accelerated_decode(backend, prompt, source, limits)
+    # backends are pure functions of their input: run order changes nothing
+    if args.mode == "ar" or args.compare:
+        ar_res = ar_decode(backend, prompt, limits.max_tokens)
+    if args.mode == "fast" or args.compare:
+        acc_res = accelerated_decode(backend, prompt,
+                                     DraftSource.from_tokens(buggy_tokens), limits)
+    result = ar_res if args.mode == "ar" else acc_res
 
     payload: dict = {
         "mode": args.mode,
@@ -249,11 +248,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         "stats": result.stats._asdict(),
     }
     if args.compare:
-        other = (accelerated_decode(backend, prompt, source, limits)
-                 if args.mode == "ar" else ar_decode(backend, prompt, limits.max_tokens))
-        ar_res, acc_res = (result, other) if args.mode == "ar" else (other, result)
-        report = compute_metrics(ar_res, acc_res)
-        payload["metrics"] = report._asdict()
+        payload["metrics"] = compute_metrics(ar_res, acc_res)._asdict()
 
     out_tokens = list(result.tokens)
     if out_tokens and out_tokens[-1] == EOS:
@@ -464,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     except RepairKitError as exc:
         print(f"repairkit: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"repairkit: {exc}", file=sys.stderr)
         return 1
 

@@ -32,8 +32,6 @@ from .errors import (BackendContractError, Checked, DegenerateInputError,
 __all__ = [
     "BOUNDARY_TOKENS",
     "ModelBackend",
-    "CostModel",
-    "DEFAULT_COST",
     "DecodeLimits",
     "DecodeStats",
     "DecodeResult",
@@ -63,21 +61,9 @@ class ModelBackend(Protocol):
         ...
 
 
-class CostModel(NamedTuple):
-    """Simulated cost of one forward pass: ``base + per_context_token * n``.
-
-    Keeps benchmark reports deterministic and lets context-length effects be
-    studied without real model timings.
-    """
-
-    base: float = 1.0
-    per_context_token: float = 0.001
-
-    def cost(self, context_length: int) -> float:
-        return self.base + self.per_context_token * context_length
-
-
-DEFAULT_COST = CostModel()
+def _pass_cost(context_length: int) -> float:
+    """Simulated cost of one forward pass: deterministic, unlike model time."""
+    return 1.0 + 0.001 * context_length
 
 
 class _DecodeLimits(NamedTuple):
@@ -200,8 +186,8 @@ def _forward(model: ModelBackend, tokens: Sequence[str]) -> list[str]:
 
 
 def ar_decode(model: ModelBackend, prompt: Sequence[str],
-              max_tokens: int = DecodeLimits._field_defaults["max_tokens"],
-              cost_model: CostModel = DEFAULT_COST) -> DecodeResult:
+              max_tokens: int = DecodeLimits._field_defaults["max_tokens"]
+              ) -> DecodeResult:
     """Plain greedy decoding: one forward pass per emitted token."""
     if not prompt:
         raise DegenerateInputError("prompt is empty")
@@ -213,7 +199,7 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
     sim_cost = 0.0
     while len(out) < max_tokens:
         preds = _forward(model, ctx)
-        sim_cost += cost_model.cost(len(ctx))
+        sim_cost += _pass_cost(len(ctx))
         tok = preds[-1]
         out.append(tok)
         ctx.append(tok)
@@ -242,9 +228,8 @@ def _check_consistency(preds: Sequence[str], ctx: Sequence[str],
 
 
 def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
-                       source: DraftSource | Sequence[str],
-                       limits: DecodeLimits | None = None,
-                       cost_model: CostModel = DEFAULT_COST) -> DecodeResult:
+                       source: DraftSource,
+                       limits: DecodeLimits | None = None) -> DecodeResult:
     """Greedy decoding accelerated by the buggy-code draft.
 
     Output is bit-identical to :func:`ar_decode` with the same model,
@@ -253,8 +238,6 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     if not prompt:
         raise DegenerateInputError("prompt is empty")
     limits = limits or DecodeLimits()
-    if not isinstance(source, DraftSource):
-        source = DraftSource.from_tokens(source)
     eos, cap = model.eos_token, limits.max_tokens
     ctx = list(prompt)
     out: list[str] = []
@@ -272,7 +255,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             inp = ctx + draft
             preds = _forward(model, inp)
             passes += 1
-            sim_cost += cost_model.cost(len(inp))
+            sim_cost += _pass_cost(len(inp))
             _check_consistency(preds, ctx, len(prompt))
             cand = preds[len(ctx) - 1:]
             k = longest_matching_prefix(cand, draft)
@@ -298,7 +281,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
         for _ in range(run):
             preds = _forward(model, ctx)
             passes += 1
-            sim_cost += cost_model.cost(len(ctx))
+            sim_cost += _pass_cost(len(ctx))
             tok = preds[-1]
             out.append(tok)
             ctx.append(tok)
@@ -334,8 +317,9 @@ def probe_backend(model: ModelBackend, sample: Sequence[str]) -> None:
 
 class EfficiencyReport(NamedTuple):
     """Accelerated-vs-greedy efficiency of one program.  ``speedup``,
-    ``tokens_per_s`` and ``avg_time`` are in :class:`CostModel` simulated
-    units (``DecodeStats.sim_cost``), not seconds."""
+    ``tokens_per_s`` and ``avg_time`` are in simulated units
+    (``DecodeStats.sim_cost``), ``1 + 0.001 * context tokens`` per forward
+    pass, not seconds."""
 
     tokens: int
     forward_passes_ar: int

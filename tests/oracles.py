@@ -14,8 +14,8 @@ import zlib
 from functools import lru_cache
 
 from repairkit import decoding
-from repairkit.decoding import (BOUNDARY_TOKENS, DEFAULT_COST, DecodeLimits,
-                                DecodeResult, DecodeStats, DraftSource)
+from repairkit.decoding import (BOUNDARY_TOKENS, DecodeLimits, DecodeResult,
+                                DecodeStats, DraftSource)
 from repairkit.errors import BackendContractError, RepairKitError
 from repairkit.source import (_ASSIGN_OPS, _CONTROL_PAREN, _CONTROL_WORDS,
                               _IDENT_RE, _TOKEN_RE, _TYPE_WORDS, _WS_RE,
@@ -260,8 +260,8 @@ def led_ref(a: str, b: str) -> int:
     return go(0, 0)
 
 
-def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
-                           cost_model=DEFAULT_COST) -> DecodeResult:
+def accelerated_decode_ref(model, prompt, source: DraftSource,
+                           limits: DecodeLimits) -> DecodeResult:
     """Draft-accelerated decoding with one ``emit`` call per token.
 
     Each token is appended on its own, bumps its own ``DecodeStats`` bucket
@@ -271,9 +271,8 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
     ``decoding.draft_generate``, looked up at call time like the library's.
     The bridge starts at ``fallback_run`` tokens, doubles after a round
     that accepted no draft token and closed no statement, and is reset by
-    any other round.
+    any other round.  A pass over n tokens costs ``1 + 0.001 * n``.
     """
-    source = DraftSource.from_tokens(buggy)
     eos = model.eos_token
     ctx = list(prompt)
     out: list[str] = []
@@ -284,7 +283,7 @@ def accelerated_decode_ref(model, prompt, buggy, limits: DecodeLimits,
 
     def forward(tokens):
         counts["forward_passes"] += 1
-        counts["sim_cost"] += cost_model.cost(len(tokens))
+        counts["sim_cost"] += 1.0 + 0.001 * len(tokens)
         return model.forward(tokens)
 
     def emit(tok: str, bucket: str) -> bool:

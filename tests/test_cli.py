@@ -610,12 +610,34 @@ def test_order_below_one_is_a_usage_error(pair_files, tmp_path, capsys, backend,
 
 
 def test_repair_bug_type_flag(pair_files, capsys):
+    # the oracle is scripted with the <bug:SE> prompt, so probing it passes
     buggy, fixed = pair_files
     code, out, _ = run_cli(
         ["repair", str(buggy), "--backend", "oracle", "--target", str(fixed),
-         "--bug-type", "SE", "--json"], capsys)
+         "--bug-type", "SE", "--probe", "--json"], capsys)
     assert code == 0
-    assert "a + b" in json.loads(out)["text"]
+    payload = json.loads(out)
+    assert "a + b" in payload["text"]
+    assert payload["tokens"] == parse(fixed.read_text()).token_texts()
+
+
+@pytest.mark.parametrize("backend", ["oracle", "random"])
+def test_repair_compare_is_the_same_in_both_modes(pair_files, capsys, backend):
+    buggy, fixed = pair_files
+    picked = ["--target", str(fixed)] if backend == "oracle" else ["--seed", "5"]
+    base = ["repair", str(buggy), "--backend", backend, *picked,
+            "--max-tokens", "40", "--json"]
+    runs = {}
+    for mode in ("ar", "fast"):
+        for compare in ([], ["--compare"]):
+            code, out, _ = run_cli(base + ["--mode", mode, *compare], capsys)
+            assert code == 0
+            runs[mode, bool(compare)] = json.loads(out)
+    ar, fast = runs["ar", True], runs["fast", True]
+    assert ar["tokens"] == fast["tokens"]
+    assert ar["metrics"] == fast["metrics"]
+    for mode in ("ar", "fast"):
+        assert runs[mode, True]["stats"] == runs[mode, False]["stats"]
 
 
 def test_repair_missing_source_exits_1(tmp_path, capsys):

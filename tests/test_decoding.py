@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from repairkit import decoding
 from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
-from repairkit.decoding import (CostModel, DecodeLimits, DecodeResult,
-                                DecodeStats, DraftSource, accelerated_decode,
+from repairkit.decoding import (DecodeLimits, DecodeResult, DecodeStats,
+                                DraftSource, accelerated_decode,
                                 aggregate_reports, ar_decode,
                                 chunk_token_ranges, compute_metrics,
                                 draft_generate, longest_matching_prefix,
@@ -119,7 +119,8 @@ def test_ar_decode_rejects_empty_prompt():
 def _run_pair(buggy, target, **limit_kwargs):
     backend = make_repair_oracle(buggy, target)
     limits = DecodeLimits(**limit_kwargs) if limit_kwargs else None
-    fast = accelerated_decode(backend, backend.prompt, buggy, limits)
+    fast = accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy),
+                              limits)
     slow = ar_decode(backend, backend.prompt,
                      limits.max_tokens if limits else 4192)
     return fast, slow
@@ -156,7 +157,7 @@ def test_boundary_correction_realigns_without_fallback():
     buggy = ["a", "b", ";"]
     target = ["a", ";", "b", ";"]
     backend = make_repair_oracle(buggy, target)
-    fast = accelerated_decode(backend, backend.prompt, buggy)
+    fast = accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy))
     assert fast.tokens == target + [EOS]
     assert fast.stats.ar_fallback_tokens == 0
     assert fast.stats.forward_passes == 2
@@ -165,7 +166,7 @@ def test_boundary_correction_realigns_without_fallback():
 def test_empty_draft_degrades_to_plain_decoding():
     backend = make_repair_oracle([], ["a", ";", "b", ";"])
     # scripted prompt for an empty buggy stream
-    fast = accelerated_decode(backend, backend.prompt, [])
+    fast = accelerated_decode(backend, backend.prompt, DraftSource.from_tokens([]))
     slow = ar_decode(backend, backend.prompt)
     assert fast.tokens == slow.tokens
     assert fast.stats.draft_accepted == 0
@@ -195,7 +196,7 @@ def _run_spied(decode, backend, prompt, buggy, limits):
 
     real = decoding.draft_generate
     with mock.patch.object(decoding, "draft_generate", spy):
-        res = decode(backend, prompt, buggy, limits)
+        res = decode(backend, prompt, DraftSource.from_tokens(buggy), limits)
     return res.tokens, res.truncated, res.stats._asdict(), calls
 
 
@@ -317,7 +318,8 @@ def test_scaling_sweep_passes_are_unchanged(length):
     for regions in (1, 2, 4, 8):
         pair = make_pair(length, regions, random.Random(0))
         backend = make_repair_oracle(pair.buggy_tokens, pair.target_tokens)
-        res = accelerated_decode(backend, backend.prompt, pair.buggy_tokens,
+        res = accelerated_decode(backend, backend.prompt,
+                                 DraftSource.from_tokens(pair.buggy_tokens),
                                  DecodeLimits(max_tokens=length + 8))
         assert res.tokens == list(pair.target_tokens) + [EOS]
         passes.append(res.stats.forward_passes)
@@ -342,7 +344,7 @@ def _random_case(seed):
 def test_fast_decode_is_lossless_on_random_models(seed):
     backend, prompt, buggy = _random_case(seed)
     limits = DecodeLimits(max_tokens=64)
-    fast = accelerated_decode(backend, prompt, buggy, limits)
+    fast = accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy), limits)
     slow = ar_decode(backend, prompt, limits.max_tokens)
     assert fast.tokens == slow.tokens
 
@@ -352,7 +354,7 @@ def test_fast_decode_is_lossless_on_random_models(seed):
 def test_stats_invariants_on_random_models(seed, fallback):
     backend, prompt, buggy = _random_case(seed)
     limits = DecodeLimits(max_tokens=48, fallback_run=fallback)
-    fast = accelerated_decode(backend, prompt, buggy, limits)
+    fast = accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy), limits)
     s = fast.stats
     assert s.tokens_emitted == len(fast.tokens)
     assert s.draft_accepted + s.corrections + s.ar_fallback_tokens == s.tokens_emitted
@@ -435,7 +437,7 @@ class _RewritingBackend:
 def test_inconsistent_backend_is_caught_mid_decode():
     backend = _RewritingBackend()
     with pytest.raises(BackendContractError):
-        accelerated_decode(backend, ["p"], ["a", ";", "b"],
+        accelerated_decode(backend, ["p"], DraftSource.from_tokens(["a", ";", "b"]),
                            DecodeLimits(max_tokens=30))
 
 
@@ -470,7 +472,7 @@ def test_drift_names_the_first_re_predicted_position():
     with pytest.raises(BackendContractError,
                        match=f"position {position} as 'drift5' but previously "
                              f"emitted '='"):
-        accelerated_decode(backend, backend.prompt, buggy)
+        accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy))
     assert backend.calls == 3
 
 
@@ -517,7 +519,8 @@ def test_decoders_reject_a_pass_of_the_wrong_length(decode, delta):
         if decode == "ar":
             ar_decode(backend, prompt, max_tokens=6)
         else:
-            accelerated_decode(backend, prompt, buggy, DecodeLimits(max_tokens=6))
+            accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy),
+                               DecodeLimits(max_tokens=6))
 
 
 def test_probe_accepts_an_honest_backend():
@@ -609,13 +612,35 @@ def test_aggregate_refuses_empty_input():
         aggregate_reports([])
 
 
-def test_cost_model_scales_with_context():
-    cost = CostModel(base=1.0, per_context_token=0.001)
-    backend = make_repair_oracle(["a", ";"], ["a", ";"])
-    res = ar_decode(backend, backend.prompt, cost_model=cost)
-    n0 = len(backend.prompt)
-    expected = sum(1.0 + 0.001 * (n0 + i) for i in range(res.stats.forward_passes))
-    assert res.stats.sim_cost == pytest.approx(expected, abs=1e-9)
+class _PassLengths:
+    """An oracle that records ``len(tokens)`` of each forward pass."""
+
+    eos_token = EOS
+
+    def __init__(self, buggy, target):
+        self._oracle = make_repair_oracle(buggy, target)
+        self.prompt = self._oracle.prompt
+        self.lengths = []
+
+    def forward(self, tokens):
+        self.lengths.append(len(tokens))
+        return self._oracle.forward(tokens)
+
+
+@pytest.mark.parametrize("decode", ["ar", "fast"])
+def test_sim_cost_sums_the_pass_costs_in_pass_order(decode):
+    buggy = ["a", "=", "1", ";", "b", "=", "2", ";", "c", "=", "3", ";"]
+    target = buggy[:4] + ["b", "=", "5", ";"] + buggy[8:]
+    backend = _PassLengths(buggy, target)
+    if decode == "ar":
+        res = ar_decode(backend, backend.prompt)
+    else:
+        res = accelerated_decode(backend, backend.prompt,
+                                 DraftSource.from_tokens(buggy))
+    assert res.tokens == target + [EOS]
+    assert len(backend.lengths) == res.stats.forward_passes
+    # exact: the float sum accumulated in the order the passes ran
+    assert res.stats.sim_cost == sum(1.0 + 0.001 * n for n in backend.lengths)
 
 
 def test_decode_limits_validation():
