@@ -46,7 +46,7 @@ def _usage(message: str) -> NoReturn:
 
 def _emit(args: argparse.Namespace, payload: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(payload)
+        Path(args.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 
@@ -126,10 +126,10 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     stats = corpus_stats(kept, buggy_tokens)
     stats["dropped_restructuring"] = dropped
     if args.stats:
-        Path(args.stats).write_text(_dump(stats))
+        Path(args.stats).write_text(_dump(stats), encoding="utf-8")
 
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             _write_jsonl(fh, records)
         if args.json:
             sys.stdout.write(_dump(stats))

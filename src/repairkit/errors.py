@@ -40,9 +40,10 @@ class Checked:
 
 
 def read_text(path: str | Path) -> str:
-    """``path.read_text()``, naming the file when it cannot be decoded."""
+    """The file decoded as UTF-8, whatever the locale; an undecodable file is
+    named in the error."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise RepairKitError(f"{path}: {exc}") from exc
 

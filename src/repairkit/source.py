@@ -11,7 +11,10 @@ The segmentation is a scanner, not a grammar: statement boundaries are
 parenthesis of a control header.  String/char literals and comments are
 honoured so punctuation inside them never splits a statement.  Anything the
 scanner cannot make sense of falls back to line-based segmentation for that
-region and the unit is flagged ``degraded``.
+region and the unit is flagged ``degraded``.  A run of blanks, a run of plain
+characters, a literal, a comment and a directive's line continuation each
+take one compiled-pattern step; only the characters that open or close a
+statement are taken one at a time.
 """
 
 from __future__ import annotations
@@ -81,10 +84,18 @@ _BLANKS = " \t\r\f\v"
 _ROLES = "\n/\\\"'#();{}="
 _BLANK_RUN = re.compile(f"[{re.escape(_BLANKS)}]+")
 _PLAIN_RUN = re.compile(f"[^{re.escape(_BLANKS + _ROLES)}]+")
+# A string or char literal, which a backslash escapes past any character;
+# group 1 is the closing quote, empty when a newline or the end of the text
+# comes first.
+_LITERAL = {q: re.compile(rf"{q}(?:\\[\s\S]?|[^{q}\\\n])*({q}?)") for q in "\"'"}
+# A comment; group 1 is set when a block comment has no "*/" and so runs to
+# the end of the text.
+_COMMENT = re.compile(r"//[^\n]*|/\*(?:.*?\*/|(.*))", re.DOTALL)
+# A backslash in a directive, with the line end (LF or CRLF) it continues over.
+_CONTINUATION = re.compile(r"\\(?:\r?\n)?")
 # What may sit between a header's ")" and its "{": blanks and newlines (spelled
-# out, as for _BLANKS) and comments; an unterminated block comment runs to the
-# end of the text.
-_GAP = re.compile(r"(?:[ \t\r\n\f\v]+|//[^\n]*|/\*(?:.*?\*/|.*))*", re.DOTALL)
+# out, as for _BLANKS) and comments.
+_GAP = re.compile(rf"(?:[ \t\r\n\f\v]+|{_COMMENT.pattern})*", re.DOTALL)
 # One line's code in a fallback region: its first to its last character
 # outside _BLANKS.
 _CODE_CHAR = f"[^{re.escape(_BLANKS)}\\n]"
@@ -139,226 +150,169 @@ class CodeFacts(NamedTuple):
     assignments: Mapping[str, frozenset[int]]
 
 
-class _Scanner:
-    """Single pass over the text producing statement spans and comment spans."""
+def _scan(text: str) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], bool]:
+    """One pass over the text: the statement spans ``(start, end, block_id)``,
+    the comment spans ``(start, end)`` and whether the unit is degraded."""
+    n = len(text)
+    blank_run, plain_run = _BLANK_RUN.match, _PLAIN_RUN.match
+    spans: list[tuple[int, int, int]] = []
+    comments: list[tuple[int, int]] = []
+    degraded = False
+    stack = [ROOT_BLOCK]       # the open blocks' ids, innermost last
+    next_block = ROOT_BLOCK + 1
+    i = 0
+    start: int | None = None   # first significant byte of the open statement
+    last_sig = 0               # one past the last significant byte
+    paren = 0
+    init_brace = 0             # brace depth inside an initializer
+    saw_assign = False
+    in_pp = False
 
-    def __init__(self, text: str):
-        self.text = text
-        self.n = len(text)
-        self.spans: list[tuple[int, int, int]] = []  # (start, end, block_id)
-        self.comments: list[tuple[int, int]] = []
-        self.degraded = False
-        self._stack = [ROOT_BLOCK]
-        self._next_block = ROOT_BLOCK + 1
-
-    # -- helpers ---------------------------------------------------------
-
-    def _skip_line_comment(self, i: int) -> int:
-        j = self.text.find("\n", i)
-        if j == -1:
-            j = self.n
-        self.comments.append((i, j))
-        return j
-
-    def _skip_block_comment(self, i: int) -> int:
-        j = self.text.find("*/", i + 2)
-        if j == -1:
-            self.comments.append((i, self.n))
-            self.degraded = True
-            return self.n
-        self.comments.append((i, j + 2))
-        return j + 2
-
-    def _open_block(self) -> None:
-        self._stack.append(self._next_block)
-        self._next_block += 1
-
-    def _close_block(self) -> None:
-        if len(self._stack) > 1:
-            self._stack.pop()
-        else:
-            self.degraded = True
-
-    # -- main loop -------------------------------------------------------
-
-    def run(self) -> None:
-        text, n = self.text, self.n
-        blank_run, plain_run = _BLANK_RUN.match, _PLAIN_RUN.match
-        i = 0
-        start: int | None = None   # first significant byte of the open statement
-        last_sig = 0               # one past the last significant byte
+    def close(end: int) -> None:
+        nonlocal start, paren, init_brace, saw_assign, in_pp
+        if start is not None and end > start:
+            spans.append((start, end, stack[-1]))
+        start = None
         paren = 0
-        init_brace = 0             # brace depth inside an initializer
+        init_brace = 0
         saw_assign = False
         in_pp = False
 
-        def close(end: int) -> None:
-            nonlocal start, paren, init_brace, saw_assign, in_pp
-            if start is not None and end > start:
-                self.spans.append((start, end, self._stack[-1]))
-            start = None
-            paren = 0
-            init_brace = 0
-            saw_assign = False
-            in_pp = False
+    def mark(pos: int) -> None:
+        nonlocal start, last_sig
+        if start is None:
+            start = pos
+        last_sig = pos + 1
 
-        def mark(pos: int) -> None:
-            nonlocal start, last_sig
+    while i < n:
+        c = text[i]
+
+        if c in _BLANKS:
+            i = blank_run(text, i).end()
+            continue
+
+        if c not in _ROLES:
+            # a run of characters that only extend the open statement
             if start is None:
-                start = pos
-            last_sig = pos + 1
+                start = i
+            i = last_sig = plain_run(text, i).end()
+            continue
 
-        while i < n:
-            c = text[i]
-
-            if c in _BLANKS:
-                i = blank_run(text, i).end()
-                continue
-
-            if c not in _ROLES:
-                # a run of characters that only extend the open statement
-                if start is None:
-                    start = i
-                i = last_sig = plain_run(text, i).end()
-                continue
-
-            if c == "\n":
-                if in_pp:
-                    close(last_sig)
-                i += 1
-                continue
-
-            if c == "/" and text.startswith("//", i):
-                i = self._skip_line_comment(i)
-                continue
-            if c == "/" and text.startswith("/*", i):
-                i = self._skip_block_comment(i)
-                continue
-
-            if c == "\\" and in_pp:
-                mark(i)
-                # a line continuation, LF or CRLF, keeps the directive open
-                if text.startswith("\\\n", i):
-                    i += 2
-                elif text.startswith("\\\r\n", i):
-                    i += 3
-                else:
-                    i += 1
-                continue
-
-            if c in "\"'":
-                quote = c
-                mark(i)
-                j = i + 1
-                closed = False
-                while j < n:
-                    d = text[j]
-                    if d == "\\" and j + 1 < n:
-                        j += 2
-                        continue
-                    if d == quote:
-                        closed = True
-                        break
-                    if d == "\n":
-                        break
-                    j += 1
-                if closed:
-                    mark(j)
-                    i = j + 1
-                    continue
-                # Unterminated literal: close the statement at the line end.
-                self.degraded = True
-                end = min(j, n)
-                mark(end - 1) if end > i else None
-                close(last_sig)
-                i = end
-                continue
-
-            if c == "#" and start is None:
-                mark(i)
-                in_pp = True
-                i += 1
-                continue
-
+        if c == "\n":
             if in_pp:
-                mark(i)
-                i += 1
-                continue
-
-            if c == "(":
-                mark(i)
-                paren += 1
-                i += 1
-                continue
-
-            if c == ")":
-                mark(i)
-                if paren > 0:
-                    paren -= 1
-                i += 1
-                if paren == 0 and start is not None:
-                    head = _IDENT_RE.findall(text[start:i])[:2]
-                    is_control = bool(head) and (
-                        head[0] in _CONTROL_PAREN
-                        or (head[0] == "else" and len(head) > 1 and head[1] in _CONTROL_PAREN)
-                    )
-                    if is_control or text.startswith("{", _GAP.match(text, i).end()):
-                        close(i)
-                continue
-
-            if c == ";" and paren == 0 and init_brace == 0:
-                mark(i)
-                close(i + 1)
-                i += 1
-                continue
-
-            if c == "{" and paren == 0:
-                if saw_assign:
-                    init_brace += 1
-                    mark(i)
-                    i += 1
-                    continue
                 close(last_sig)
-                self.spans.append((i, i + 1, self._stack[-1]))
-                self._open_block()
-                i += 1
+            i += 1
+            continue
+
+        if c == "/":
+            m = _COMMENT.match(text, i)
+            if m:
+                comments.append(m.span())
+                if m.group(1) is not None:
+                    degraded = True
+                i = m.end()
                 continue
 
-            if c == "}" and paren == 0:
-                if init_brace > 0:
-                    init_brace -= 1
-                    mark(i)
-                    i += 1
-                    continue
-                close(last_sig)
-                self._close_block()
-                self.spans.append((i, i + 1, self._stack[-1]))
-                i += 1
-                continue
+        if c == "\\" and in_pp:
+            mark(i)
+            i = _CONTINUATION.match(text, i).end()
+            continue
 
-            if c == "=" and paren == 0 and init_brace == 0:
-                prev = text[i - 1] if i > 0 else ""
-                nxt = text[i + 1] if i + 1 < n else ""
-                if nxt != "=" and prev not in "<>!=":
-                    saw_assign = True
-                mark(i)
-                i += 1
-                continue
+        if c in "\"'":
+            m = _LITERAL[c].match(text, i)
+            if start is None:
+                start = i
+            i = last_sig = m.end()
+            if not m.group(1):
+                # Unterminated literal: close the statement at the line end.
+                degraded = True
+                close(i)
+            continue
 
+        if c == "#" and start is None:
+            mark(i)
+            in_pp = True
+            i += 1
+            continue
+
+        if in_pp:
             mark(i)
             i += 1
+            continue
 
-        if start is not None:
-            # Unterminated trailing region: one statement per line.
-            self.degraded = True
-            self._fallback_lines(start, last_sig)
-        if len(self._stack) > 1:
-            self.degraded = True
+        if c == "(":
+            mark(i)
+            paren += 1
+            i += 1
+            continue
 
-    def _fallback_lines(self, start: int, end: int) -> None:
-        block = self._stack[-1]
-        self.spans.extend((m.start(), m.end(), block)
-                          for m in _LINE_CODE.finditer(self.text, start, end))
+        if c == ")":
+            mark(i)
+            if paren > 0:
+                paren -= 1
+            i += 1
+            if paren == 0 and start is not None:
+                head = _IDENT_RE.findall(text[start:i])[:2]
+                is_control = bool(head) and (
+                    head[0] in _CONTROL_PAREN
+                    or (head[0] == "else" and len(head) > 1 and head[1] in _CONTROL_PAREN)
+                )
+                if is_control or text.startswith("{", _GAP.match(text, i).end()):
+                    close(i)
+            continue
+
+        if c == ";" and paren == 0 and init_brace == 0:
+            mark(i)
+            close(i + 1)
+            i += 1
+            continue
+
+        if c == "{" and paren == 0:
+            if saw_assign:
+                init_brace += 1
+                mark(i)
+                i += 1
+                continue
+            close(last_sig)
+            spans.append((i, i + 1, stack[-1]))
+            stack.append(next_block)
+            next_block += 1
+            i += 1
+            continue
+
+        if c == "}" and paren == 0:
+            if init_brace > 0:
+                init_brace -= 1
+                mark(i)
+                i += 1
+                continue
+            close(last_sig)
+            if len(stack) > 1:
+                stack.pop()
+            else:
+                degraded = True
+            spans.append((i, i + 1, stack[-1]))
+            i += 1
+            continue
+
+        if c == "=" and paren == 0 and init_brace == 0:
+            prev = text[i - 1] if i > 0 else ""
+            nxt = text[i + 1] if i + 1 < n else ""
+            if nxt != "=" and prev not in "<>!=":
+                saw_assign = True
+            mark(i)
+            i += 1
+            continue
+
+        mark(i)
+        i += 1
+
+    if start is not None:
+        # Unterminated trailing region: one statement per line.
+        degraded = True
+        spans.extend((m.start(), m.end(), stack[-1])
+                     for m in _LINE_CODE.finditer(text, start, last_sig))
+    return spans, comments, degraded or len(stack) > 1
 
 
 def _classify(normalized: str) -> str:
@@ -387,15 +341,13 @@ def _classify(normalized: str) -> str:
 
 
 def parse(text: str) -> SourceUnit:
-    scanner = _Scanner(text)
-    scanner.run()
-    # comments are disjoint, so sorted by start they are sorted by end too
-    comments = sorted(scanner.comments)
+    spans, comments, degraded = _scan(text)
+    # comments are found left to right and are disjoint: sorted by start and end
     comment_ends = [ce for _, ce in comments]
 
     statements = []
     tokens: list[Token] = []
-    for idx, (s, e, block) in enumerate(sorted(scanner.spans)):
+    for idx, (s, e, block) in enumerate(sorted(spans)):
         # the code segments: the parts of [s, e) outside the run of comments
         # from the first that ends past s (a comment may run past e)
         segments = []
@@ -427,7 +379,7 @@ def parse(text: str) -> SourceUnit:
         text=text,
         statements=tuple(statements),
         tokens=tuple(tokens),
-        degraded=scanner.degraded,
+        degraded=degraded,
     )
 
 

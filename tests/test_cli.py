@@ -297,6 +297,22 @@ def test_triage_compiles_a_non_utf8_source(tmp_path, capsys):
     assert '"caf\ufffd"' in payload["prompt"]
 
 
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, open() defaults to ASCII
+    src = str(Path(repairkit.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "/* caf\xe9 */\n" + SUM_OK.replace('"%d\\n"', '"caf\xe9 %d\\n"')
+    (tmp_path / "b.c").write_text(code.replace("a + b", "a - b"), encoding="utf-8")
+    (tmp_path / "f.c").write_text(code, encoding="utf-8")
+    for argv in (["mask", "b.c", "f.c", "--json"],
+                 ["repair", "b.c", "--backend", "oracle", "--target", "f.c", "--out", "F"]):
+        proc = subprocess.run([sys.executable, "-m", "repairkit", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert '"caf\xe9 %d\\n"' in (tmp_path / "F").read_bytes().decode("utf-8")
+
+
 def test_dataset_without_pairs_exits_2(tmp_path, capsys):
     root = tmp_path / "solved"
     root.mkdir()

@@ -22,9 +22,11 @@ from repairkit.decoding import (DecodeLimits, DecodeResult, DecodeStats,
 from repairkit.errors import (BackendContractError, DegenerateInputError,
                               LosslessnessError)
 from repairkit.mask import MaskConfig
+from repairkit.source import parse
 from repairkit.synthetic import make_pair
 from repairkit.triage import ExecutorConfig
 
+from conftest import SUM_OK, SUM_WRONG_OP
 from oracles import accelerated_decode_ref
 
 
@@ -361,8 +363,22 @@ def test_stats_invariants_on_random_models(seed, fallback):
     assert s.forward_passes >= 1
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.DOTALL)
+    scope = {"buggy_code": SUM_WRONG_OP, "fixed_code": SUM_OK,
+             "buggy_tokens": parse(SUM_WRONG_OP).token_texts(),
+             "fixed_tokens": parse(SUM_OK).token_texts(),
+             "per_statement_losses": [1.0] * len(parse(SUM_OK).statements)}
+    exec(block.group(1), scope)
+    assert float(capsys.readouterr().out) > 1
+
+
 def _script(name):
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    path = _ROOT / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -401,13 +417,31 @@ def test_scaling_script_writes_its_rows(tmp_path, capsys):
 
 @pytest.mark.parametrize("artifact", ["corpus", "decode"])
 def test_digest_script_prints_one_digest_per_seed(artifact, capsys):
-    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    perfbench = _ROOT / "perfbench"
     before = {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")}
     cwd = os.getcwd()
     assert _script("digest").main([artifact, "--seeds", "1"]) == 0
     assert os.getcwd() == cwd
     assert re.fullmatch(r"seed 1: [0-9a-f]{64}\n", capsys.readouterr().out)
     assert {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")} == before
+
+
+# What the corpus and decode builds wrote when these pins were set; a change
+# that alters any output on purpose updates them.  Triage is left out: its
+# diagnostics come from the local gcc.
+_DIGESTS = {
+    "corpus": ["cc0d83df86e2beb83fc45db70c3bbfd6eb1e8c6166e31fd6654fb9cea3eda28b",
+               "d3a0091fb712fd346fac62f539bafba6af8d7bb1e7badb3a1635614ec07ab072"],
+    "decode": ["cfd9e35e7e5b879223046e57c7f0d1e273ceb743249a219aa60e12af8dc8c787"],
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(_DIGESTS))
+def test_digest_script_prints_the_pinned_digests(artifact, capsys):
+    pins = _DIGESTS[artifact]
+    assert _script("digest").main([artifact, "--seeds", str(len(pins))]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"seed {seed}: {pin}\n" for seed, pin in enumerate(pins, 1))
 
 
 @pytest.mark.parametrize("argv", [["corpus", "--seeds", "0"], ["traces"]],

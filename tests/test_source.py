@@ -145,6 +145,12 @@ _FRAGMENTS = [
 @example("a = f(x) // c\n{ y; }")
 @example("a = f(x) /* c")
 @example("a = f(x)\xa0{ y; }")
+# a literal that ends in a lone backslash; a block comment over a newline; a
+# continuation over a bare CR; a "*/" that overlaps its own "/*"
+@example('"ab\\')
+@example("/* a\n b */ c;")
+@example("#define X \\\r")
+@example("/*/ x; */ y;")
 def test_parse_matches_the_one_character_scanner(text):
     got, want = parse(text), parse_ref(text)
     assert got == want
