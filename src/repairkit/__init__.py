@@ -7,8 +7,8 @@ touched it, classify what the buggy program does wrong, and decode the fix
 fast by treating the buggy code as a draft that mostly survives.
 """
 
-from .backends import (EOS, NGramBackend, SeededRandomBackend,
-                       TargetOracleBackend, make_repair_oracle)
+from .backends import (EOS, SeededRandomBackend, TargetOracleBackend,
+                       make_repair_oracle)
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, pair_submissions)
 from .decoding import (BOUNDARY_TOKENS, DecodeLimits, DecodeResult,
@@ -47,8 +47,7 @@ __all__ = [
     "ar_decode", "aggregate_reports", "chunk_token_ranges", "compute_metrics",
     "draft_generate", "longest_matching_prefix", "probe_backend", "repair_prompt",
     # backends
-    "EOS", "TargetOracleBackend", "NGramBackend", "SeededRandomBackend",
-    "make_repair_oracle",
+    "EOS", "TargetOracleBackend", "SeededRandomBackend", "make_repair_oracle",
     # dataset
     "Submission", "RepairPair", "load_archive", "pair_submissions",
     "filter_pairs", "build_records", "corpus_stats",

@@ -1,19 +1,17 @@
 """Deterministic mock backends for exercising the decode engine.
 
-All three satisfy the backend contract (deterministic, causal, one forward
+Both satisfy the backend contract (deterministic, causal, one forward
 pass returns a greedy prediction per position) without any neural model:
 
 * :class:`TargetOracleBackend` — plays back one scripted target sequence
   after its one prompt; the workhorse for efficiency fixtures.  A pass is
   one prompt check and one slice of a stored prediction stream.
-* :class:`NGramBackend` — order-n frequency model over a training corpus,
-  ties broken by the lowest token in sorted order.
 * :class:`SeededRandomBackend` — adversarial hash-driven predictions; every
   prefix deterministically maps to an arbitrary next token.  Used to stress
   losslessness.  A pass hashes only the positions the previous pass did not
   share with it.
 
-All of them keep ``forward(tokens)`` a pure function of ``tokens``: what
+Both keep ``forward(tokens)`` a pure function of ``tokens``: what
 they cache changes the cost of a pass, never its result.
 
 Tokens are plain strings so fixtures stay readable.
@@ -22,24 +20,19 @@ Tokens are plain strings so fixtures stay readable.
 from __future__ import annotations
 
 import zlib
-from collections import Counter
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .decoding import longest_matching_prefix, repair_prompt
-from .errors import DegenerateInputError, RepairKitError, read_text
-from .source import parse
+from .errors import DegenerateInputError, RepairKitError
 
 __all__ = [
     "EOS",
     "TargetOracleBackend",
-    "NGramBackend",
     "SeededRandomBackend",
     "make_repair_oracle",
 ]
 
 EOS = "<eos>"
-TRAINING_PATTERNS = ("*.c", "*.txt")   # files NGramBackend.from_dir trains on
 
 
 class TargetOracleBackend:
@@ -79,59 +72,6 @@ class TargetOracleBackend:
         if len(preds) < n:
             preds += [self.eos_token] * (n - len(preds))
         return preds
-
-
-class NGramBackend:
-    """Order-n counting model; argmax with ties broken by the lowest token."""
-
-    concurrent_safe = True
-    eos_token = EOS
-
-    def __init__(self, order: int = 3):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
-        self._counts: dict[tuple[str, ...], Counter] = {}
-
-    @classmethod
-    def from_texts(cls, texts: Iterable[str], order: int = 3) -> "NGramBackend":
-        model = cls(order)
-        for text in texts:
-            model.add_document(parse(text).token_texts())
-        return model
-
-    @classmethod
-    def from_dir(cls, path: str | Path, order: int = 3) -> "NGramBackend":
-        root = Path(path)
-        files: list[Path] = []
-        for pat in TRAINING_PATTERNS:
-            files.extend(root.rglob(pat))
-        texts = [read_text(f) for f in sorted(set(files))]
-        if not texts:
-            raise RepairKitError(f"no training files under {root}")
-        return cls.from_texts(texts, order)
-
-    def add_document(self, tokens: Sequence[str]) -> None:
-        toks = list(tokens) + [self.eos_token]
-        for n in range(self.order):
-            for i in range(len(toks)):
-                ctx = tuple(toks[max(0, i - n):i])
-                if len(ctx) == n:
-                    self._counts.setdefault(ctx, Counter())[toks[i]] += 1
-
-    def _predict_one(self, context: Sequence[str]) -> str:
-        for n in range(min(self.order - 1, len(context)), -1, -1):
-            ctx = tuple(context[len(context) - n:])
-            counter = self._counts.get(ctx)
-            if counter:
-                return min(counter, key=lambda t: (-counter[t], t))
-        return self.eos_token
-
-    def forward(self, tokens: Sequence[str]) -> list[str]:
-        # _predict_one reads at most the last order - 1 tokens of its context
-        k = self.order - 1
-        return [self._predict_one(tokens[max(0, i + 1 - k):i + 1])
-                for i in range(len(tokens))]
 
 
 _MASK64 = (1 << 64) - 1

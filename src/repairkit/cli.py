@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .backends import EOS, NGramBackend, SeededRandomBackend, make_repair_oracle
+from .backends import EOS, SeededRandomBackend, make_repair_oracle
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, mask_record, pair_mask,
                       pair_submissions)
@@ -213,19 +213,17 @@ def cmd_triage(args: argparse.Namespace) -> int:
 def _build_backend(args: argparse.Namespace, prompt: list[str],
                    buggy_tokens: list[str]):
     if args.backend == "oracle":
-        if not args.target:
-            _usage("--backend oracle needs --target FIXED_SOURCE")
         target = parse(read_text(args.target)).token_texts()
         return make_repair_oracle(buggy_tokens, target, args.bug_type)
-    if args.backend == "ngram":
-        if not args.train_dir:
-            _usage("--backend ngram needs --train-dir")
-        return NGramBackend.from_dir(args.train_dir, order=args.order)
     # the prompt holds every buggy token
     return SeededRandomBackend(args.seed, sorted(set(prompt)))
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
+    if args.backend == "oracle" and not args.target:
+        _usage("--backend oracle needs --target FIXED_SOURCE")
+    if args.target and args.backend != "oracle":
+        _usage("--target needs --backend oracle")
     buggy_tokens = parse(read_text(args.source)).token_texts()
     prompt = repair_prompt(buggy_tokens, args.bug_type)
     backend = _build_backend(args, prompt, buggy_tokens)
@@ -284,8 +282,8 @@ def _bench_pairs(path: Path) -> list[tuple[str, str, str]]:
             fixed = buggy.with_name(buggy.name.replace(".buggy.c", ".fixed.c"))
             if not fixed.is_file():
                 raise RepairKitError(f"{buggy}: no matching {fixed.name}")
-            stem = buggy.name[: -len(".buggy.c")]
-            triples.append((stem, read_text(buggy), read_text(fixed)))
+            pid = buggy.relative_to(path).as_posix()[: -len(".buggy.c")]
+            triples.append((pid, read_text(buggy), read_text(fixed)))
         if not triples:
             raise RepairKitError(f"{path}: no *.buggy.c files")
         return triples
@@ -418,12 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair", parents=[common],
                        help="decode a repair with a mock backend")
     p.add_argument("source", help="buggy C source file")
-    p.add_argument("--backend", choices=("oracle", "ngram", "random"), required=True)
+    p.add_argument("--backend", choices=("oracle", "random"), required=True)
     p.add_argument("--mode", choices=("fast", "ar"), default="fast",
                    help="draft-accelerated or plain autoregressive decoding")
     p.add_argument("--target", help="fixed source the oracle backend replays")
-    p.add_argument("--train-dir", help="corpus directory for the ngram backend")
-    p.add_argument("--order", type=_int_at_least(1), default=3, help="ngram context order")
     p.add_argument("--bug-type", choices=[b.value for b in BugType],
                    help="condition the prompt on a triage label")
     p.add_argument("--compare", action="store_true",

@@ -126,6 +126,7 @@ def pair_submissions(submissions: list[Submission]) -> list[RepairPair]:
     for sub in submissions:
         groups.setdefault((sub.problem_id, sub.student_id), []).append(sub)
     pairs = []
+    seen: set[str] = set()
     for key in sorted(groups):
         history = sorted(groups[key], key=_timestamp_key)
         for i, sub in enumerate(history):
@@ -135,6 +136,10 @@ def pair_submissions(submissions: list[Submission]) -> list[RepairPair]:
             if fixed is None:
                 continue
             pair_id = f"{sub.problem_id}/{sub.student_id}/{sub.timestamp}"
+            # the id seeds the pair's mask, so two pairs must never share one
+            if pair_id in seen:
+                raise RepairKitError(f"two repair pairs have the id {pair_id}")
+            seen.add(pair_id)
             pairs.append(RepairPair(
                 pair_id=pair_id,
                 problem_id=sub.problem_id,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from pathlib import Path
@@ -149,3 +150,12 @@ int main() {
 
 SUM_WRONG_OP = SUM_OK.replace("a + b", "a - b")
 SUM_EXTRA_WS = SUM_OK.replace('"%d\\n"', '"%d  \\n"')
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module, so a test can call its ``main``."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

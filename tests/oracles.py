@@ -216,11 +216,6 @@ def oracle_forward_ref(prompt: list[str], target: list[str], eos: str,
     return preds
 
 
-def ngram_forward_ref(model, tokens: list[str]) -> list[str]:
-    """``NGramBackend.forward`` handing each position its whole prefix."""
-    return [model._predict_one(tokens[:i + 1]) for i in range(len(tokens))]
-
-
 def normalize_ref(text: str) -> str:
     """Whitespace-canonical output, built by a character walk."""
     out_lines = []

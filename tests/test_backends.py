@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repairkit
-from repairkit.backends import (EOS, NGramBackend, SeededRandomBackend,
-                                TargetOracleBackend, make_repair_oracle)
+from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
+                                make_repair_oracle)
 from repairkit.errors import RepairKitError
 
-from oracles import ngram_forward_ref, oracle_forward_ref, seeded_random_ref
+from oracles import oracle_forward_ref, seeded_random_ref
 
 
 # ---------------------------------------------------------------------------
@@ -109,66 +109,6 @@ def test_oracle_matches_the_reference(prompt, target, tail):
 
 
 # ---------------------------------------------------------------------------
-# ngram model
-
-
-def test_ngram_learns_continuations():
-    model = NGramBackend.from_texts(["a = 1; b = 2;"], order=3)
-    preds = model.forward(["a", "="])
-    assert preds[-1] == "1"
-
-
-def test_ngram_tie_breaks_by_sorted_vocab_id():
-    model = NGramBackend(order=2)
-    model.add_document(["x", "b"])
-    model.add_document(["x", "a"])
-    # both continuations seen once, "b" first: the alphabetically first
-    # token wins, with no step that ranks the vocabulary
-    assert model.forward(["x"])[-1] == "a"
-
-
-def test_ngram_backs_off_to_shorter_contexts():
-    model = NGramBackend(order=3)
-    model.add_document(["x", "y", "z"])
-    # ("q", "y") never seen; ("y",) predicts "z"
-    assert model.forward(["q", "y"])[-1] == "z"
-
-
-def test_ngram_empty_model_emits_eos():
-    model = NGramBackend(order=2)
-    assert model.forward(["anything"])[-1] == EOS
-
-
-def test_ngram_from_dir_requires_files(tmp_path):
-    with pytest.raises(RepairKitError):
-        NGramBackend.from_dir(tmp_path)
-    (tmp_path / "t.c").write_text("a = 1;")
-    model = NGramBackend.from_dir(tmp_path)
-    assert model.forward(["a", "="])[-1] == "1"
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4),
-       st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8),
-                max_size=4),
-       st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=12))
-def test_ngram_matches_the_whole_prefix_reference(order, docs, tokens):
-    # a 4-token alphabet over short documents makes count ties common
-    model = NGramBackend(order=order)
-    for doc in docs:
-        model.add_document(doc)
-    assert model.forward(tokens) == ngram_forward_ref(model, tokens)
-
-
-def test_ngram_is_deterministic_across_instances():
-    texts = ["a = 1; b = a + 2;", "b = 3; a = b;"]
-    m1 = NGramBackend.from_texts(texts)
-    m2 = NGramBackend.from_texts(list(texts))
-    probe = ["a", "=", "1", ";", "b"]
-    assert m1.forward(probe) == m2.forward(probe)
-
-
-# ---------------------------------------------------------------------------
 # seeded random model
 
 
@@ -255,8 +195,7 @@ def test_seeded_backend_cache_follows_a_decoding_walk(seed, start, steps):
 @pytest.mark.parametrize("make", [
     lambda: make_repair_oracle(["a", ";"], ["b", ";"]),
     lambda: SeededRandomBackend(4, ["a", "b", ";"]),
-    lambda: NGramBackend.from_texts(["a = 1; b = 2;"]),
-], ids=["oracle", "random", "ngram"])
+], ids=["oracle", "random"])
 def test_mutating_a_result_leaves_later_passes_alone(make):
     backend = make()
     toks = ["<fix>", "a", ";", "<sep>", "b"]

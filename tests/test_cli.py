@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from repairkit import cli
 from repairkit.errors import BackendContractError
 from repairkit.source import parse
 
-from conftest import (SUM_EXTRA_WS, SUM_OK, SUM_WRONG_OP, write_archive,
-                      write_problem_meta)
+from conftest import (SUM_EXTRA_WS, SUM_OK, SUM_WRONG_OP, load_script,
+                      write_archive, write_problem_meta)
 
 SUM_NO_RETURN = SUM_OK.replace("    return 0;\n", "")
 
@@ -260,24 +261,23 @@ def test_dataset_non_utf8_file_names_its_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["mask", "train/latin1.c", "good.c"],
-    ["mask", "good.c", "train/latin1.c"],
-    ["triage", "good.c", "--meta", "train/latin1.c"],
-    ["triage", "good.c", "--config", "train/latin1.c"],
-    ["repair", "train/latin1.c", "--backend", "random"],
-    ["repair", "good.c", "--backend", "oracle", "--target", "train/latin1.c"],
-    ["repair", "good.c", "--backend", "ngram", "--train-dir", "train"],
+    ["mask", "bad/latin1.c", "good.c"],
+    ["mask", "good.c", "bad/latin1.c"],
+    ["triage", "good.c", "--meta", "bad/latin1.c"],
+    ["triage", "good.c", "--config", "bad/latin1.c"],
+    ["repair", "bad/latin1.c", "--backend", "random"],
+    ["repair", "good.c", "--backend", "oracle", "--target", "bad/latin1.c"],
 ], ids=["mask-buggy", "mask-fixed", "triage-meta", "triage-config",
-        "repair-source", "repair-target", "repair-train-dir"])
+        "repair-source", "repair-target"])
 def test_non_utf8_input_names_its_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     Path("good.c").write_text(SUM_OK)
-    Path("train").mkdir()
-    Path("train/latin1.c").write_bytes(("/* caf\xe9 */\n" + SUM_OK).encode("latin-1"))
+    Path("bad").mkdir()
+    Path("bad/latin1.c").write_bytes(("/* caf\xe9 */\n" + SUM_OK).encode("latin-1"))
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    assert "train/latin1.c" in err
+    assert "bad/latin1.c" in err
     assert "Traceback" not in err
 
 
@@ -585,11 +585,15 @@ def test_repair_oracle_needs_target(pair_files, capsys):
     assert "needs --target" in err
 
 
-def test_repair_ngram_needs_train_dir(pair_files, capsys):
+def test_repair_target_needs_the_oracle(pair_files, capsys, monkeypatch):
+    # the usage error comes before any file is read
+    monkeypatch.setattr(cli, "read_text", lambda *a: pytest.fail("read a file"))
     buggy, _ = pair_files
-    code, _, err = run_cli(["repair", str(buggy), "--backend", "ngram"], capsys)
+    code, out, err = run_cli(["repair", str(buggy), "--backend", "random",
+                              "--target", "/nonexistent.c"], capsys)
     assert code == 2
-    assert "needs --train-dir" in err
+    assert out == ""
+    assert "--target needs --backend oracle" in err
 
 
 def test_repair_random_fast_matches_ar(pair_files, capsys):
@@ -600,29 +604,6 @@ def test_repair_random_fast_matches_ar(pair_files, capsys):
     code_b, out_b, _ = run_cli(base + ["--mode", "ar"], capsys)
     assert code_a == code_b == 0
     assert json.loads(out_a)["tokens"] == json.loads(out_b)["tokens"]
-
-
-def test_repair_ngram_runs(pair_files, tmp_path, capsys):
-    buggy, fixed = pair_files
-    train = tmp_path / "train"
-    train.mkdir()
-    (train / "good.c").write_text(SUM_OK)
-    code, out, _ = run_cli(
-        ["repair", str(buggy), "--backend", "ngram", "--train-dir", str(train),
-         "--max-tokens", "30", "--json"], capsys)
-    assert code == 0
-    assert len(json.loads(out)["tokens"]) <= 30
-
-
-@pytest.mark.parametrize("backend, value", [("ngram", "0"), ("random", "-3")])
-def test_order_below_one_is_a_usage_error(pair_files, tmp_path, capsys, backend, value):
-    buggy, _ = pair_files
-    code, out, err = run_cli(
-        ["repair", str(buggy), "--backend", backend, "--train-dir", str(tmp_path),
-         "--order", value, "--json"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "--order: must be >= 1" in err
 
 
 def test_repair_bug_type_flag(pair_files, capsys):
@@ -736,6 +717,17 @@ def test_bench_rejects_bad_records(tmp_path, capsys, line, reason):
     assert f"{corpus}:2: bad repair pair record: {reason}" in err
 
 
+def test_bench_ids_keep_their_subdirectory(tmp_path, capsys):
+    root = tmp_path / "bench"
+    for sub in ("a", "b"):
+        (root / sub).mkdir(parents=True)
+        (root / sub / "x.buggy.c").write_text(SUM_WRONG_OP)
+        (root / sub / "x.fixed.c").write_text(SUM_OK)
+    code, out, _ = run_cli(["bench", str(root), "--json"], capsys)
+    assert code == 0
+    assert [p["id"] for p in json.loads(out)["programs"]] == ["a/x", "b/x"]
+
+
 def test_bench_unpaired_file_exits_1(tmp_path, capsys):
     root = tmp_path / "bench"
     root.mkdir()
@@ -801,3 +793,28 @@ def test_module_entry_matches_in_process(pair_files, capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+# ---------------------------------------------------------------------------
+# the demo walk
+
+
+def test_demo_archive_walks_the_cli(tmp_path, monkeypatch, capsys):
+    # runs the commands of the demo script's docstring, as README tells users to
+    monkeypatch.chdir(tmp_path)
+    demo = load_script("make_demo_archive")
+    steps = re.findall(r"^    (\S+) (.*)$", demo.__doc__, re.MULTILINE)
+    assert [prog for prog, _ in steps] == [
+        "python3", "repairkit", "repairkit", "repairkit"]
+    assert demo.main(shlex.split(steps[0][1])[1:]) == 0
+    capsys.readouterr()
+    outs = []
+    for _, command in steps[1:]:
+        code, out, err = run_cli(shlex.split(command), capsys)
+        assert code == 0, err
+        outs.append(out)
+    dataset, triage, bench = outs
+    assert dataset.startswith("wrote 4 records to corpus.jsonl")
+    assert len(Path("corpus.jsonl").read_text().splitlines()) == 4
+    assert triage.startswith("bug type: SE\n")
+    assert bench.endswith(" over 4 programs\n")

@@ -152,6 +152,20 @@ def test_pairing_is_per_student():
     assert pair_submissions(history) == []
 
 
+@pytest.mark.parametrize("history, pair_id", [
+    ([sub(student="s", ts="1"), sub(student="s", ts="1"),
+      sub(student="s", ts="2", verdict="OK", code=SUM_OK)], "p1/s/1"),
+    ([sub(problem="a/b", student="c", ts="1"),
+      sub(problem="a/b", student="c", ts="2", verdict="OK", code=SUM_OK),
+      sub(problem="a", student="b/c", ts="1"),
+      sub(problem="a", student="b/c", ts="2", verdict="OK", code=SUM_OK)], "a/b/c/1"),
+], ids=["same-timestamp", "slash-in-id"])
+def test_a_repeated_pair_id_is_an_error(history, pair_id):
+    # the id seeds the mask: two pairs sharing one would share a seed
+    with pytest.raises(RepairKitError, match=f"id {pair_id}$"):
+        pair_submissions(history)
+
+
 def test_accepted_verdict_spellings():
     for verdict in sorted(ACCEPTED_VERDICTS):
         assert sub(verdict=verdict.lower()).accepted

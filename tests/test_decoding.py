@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import random
@@ -26,7 +25,7 @@ from repairkit.source import parse
 from repairkit.synthetic import make_pair
 from repairkit.triage import ExecutorConfig
 
-from conftest import SUM_OK, SUM_WRONG_OP
+from conftest import SUM_OK, SUM_WRONG_OP, load_script
 from oracles import accelerated_decode_ref
 
 
@@ -377,16 +376,8 @@ def test_readme_library_example_runs(capsys):
     assert float(capsys.readouterr().out) > 1
 
 
-def _script(name):
-    path = _ROOT / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _fuzz_script():
-    return _script("fuzz_losslessness")
+    return load_script("fuzz_losslessness")
 
 
 @pytest.mark.parametrize("argv", [["--trials", "-5"], ["--trials", "0"],
@@ -406,7 +397,7 @@ def test_fuzz_script_passes_a_short_run(capsys):
 def test_scaling_script_writes_its_rows(tmp_path, capsys):
     out = tmp_path / "rows.json"
     argv = ["--lengths", "200", "--regions", "1,2", "--json", str(out)]
-    assert _script("run_scaling_experiment").main(argv) == 0
+    assert load_script("run_scaling_experiment").main(argv) == 0
     rows = json.loads(out.read_text())
     assert [set(row) for row in rows] == [{
         "length", "regions", "forward_passes_ar", "forward_passes_acc",
@@ -420,7 +411,7 @@ def test_digest_script_prints_one_digest_per_seed(artifact, capsys):
     perfbench = _ROOT / "perfbench"
     before = {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")}
     cwd = os.getcwd()
-    assert _script("digest").main([artifact, "--seeds", "1"]) == 0
+    assert load_script("digest").main([artifact, "--seeds", "1"]) == 0
     assert os.getcwd() == cwd
     assert re.fullmatch(r"seed 1: [0-9a-f]{64}\n", capsys.readouterr().out)
     assert {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")} == before
@@ -439,7 +430,7 @@ _DIGESTS = {
 @pytest.mark.parametrize("artifact", sorted(_DIGESTS))
 def test_digest_script_prints_the_pinned_digests(artifact, capsys):
     pins = _DIGESTS[artifact]
-    assert _script("digest").main([artifact, "--seeds", str(len(pins))]) == 0
+    assert load_script("digest").main([artifact, "--seeds", str(len(pins))]) == 0
     assert capsys.readouterr().out == "".join(
         f"seed {seed}: {pin}\n" for seed, pin in enumerate(pins, 1))
 
@@ -449,7 +440,7 @@ def test_digest_script_prints_the_pinned_digests(artifact, capsys):
 def test_digest_script_rejects_bad_arguments(argv, capsys):
     # --seeds 0 used to print nothing, so any two checkouts "matched"
     with pytest.raises(SystemExit) as exc:
-        _script("digest").main(argv)
+        load_script("digest").main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repairkit.backends import (NGramBackend, SeededRandomBackend,
-                                TargetOracleBackend)
+from repairkit.backends import SeededRandomBackend, TargetOracleBackend
 from repairkit.decoding import repair_prompt
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,9 +56,8 @@ def _oracle(prompt):
 
 @pytest.mark.parametrize("make", [
     _oracle,
-    lambda prompt: NGramBackend.from_texts(["a = 1; b = 2;"]),
     lambda prompt: SeededRandomBackend(3, sorted(set(prompt))),
-], ids=["oracle", "ngram", "random"])
+], ids=["oracle", "random"])
 def test_forward_proxy_wraps_every_backend(harness, make):
     _, tracing = harness
     prompt = repair_prompt(["a", "=", "1", ";"])
