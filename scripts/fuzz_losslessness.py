@@ -2,10 +2,10 @@
 """Fuzz the accelerated decoder against plain autoregressive decoding.
 
 Every trial draws a seeded hash backend (worst case for draft reuse: the
-next token depends on the whole prefix), a random prompt, a random buggy
-draft and a greedy bridge length from 0 to 5, then checks the two decoders
-emit identical tokens.  Every other trial's vocabulary has no statement
-boundary, so the bridge keeps doubling.  Exits non-zero on the first
+next token depends on the whole prefix), a random prompt and a random buggy
+draft, then checks the two decoders emit identical tokens.  Every other
+trial's vocabulary has no statement boundary, so the greedy bridge keeps
+doubling from its first 5 tokens.  Exits non-zero on the first
 divergence, and with 2 on an out-of-range option.
 
     python3 scripts/fuzz_losslessness.py --trials 2000 --seed 1
@@ -48,16 +48,14 @@ def main(argv: list[str] | None = None) -> int:
         prompt = [master.choice(vocab) for _ in range(master.randrange(1, 8))]
         draft = [master.choice(vocab)
                  for _ in range(master.randrange(0, args.max_draft + 1))]
-        fallback_run = master.randrange(0, 6)
         backend = SeededRandomBackend(backend_seed, vocab)
         ar = ar_decode(backend, prompt, max_tokens=args.max_tokens)
         acc = accelerated_decode(backend, prompt, DraftSource.from_tokens(draft),
-                                 DecodeLimits(max_tokens=args.max_tokens,
-                                              fallback_run=fallback_run))
+                                 DecodeLimits(max_tokens=args.max_tokens))
         if ar.tokens != acc.tokens:
             print(f"DIVERGED at trial {trial}: backend seed {backend_seed}, "
-                  f"prompt {prompt!r}, draft of {len(draft)} tokens, "
-                  f"fallback_run {fallback_run}", file=sys.stderr)
+                  f"prompt {prompt!r}, draft of {len(draft)} tokens",
+                  file=sys.stderr)
             return 1
     elapsed = time.perf_counter() - start
     print(f"{args.trials} trials lossless in {elapsed:.1f}s")

@@ -14,8 +14,8 @@ from .dataset import (RepairPair, Submission, build_records, corpus_stats,
 from .decoding import (BOUNDARY_TOKENS, DecodeLimits, DecodeResult,
                        DecodeStats, DraftSource, EfficiencyReport,
                        accelerated_decode, aggregate_reports, ar_decode,
-                       chunk_token_ranges, compute_metrics, draft_generate,
-                       longest_matching_prefix, probe_backend, repair_prompt)
+                       compute_metrics, draft_generate, longest_matching_prefix,
+                       probe_backend, repair_prompt)
 from .diffs import AlignedDiff, align_statements, levenshtein, line_edit_distance
 from .errors import (BackendContractError, DegenerateInputError,
                      LosslessnessError, RepairKitError)
@@ -44,8 +44,8 @@ __all__ = [
     # decoding
     "BOUNDARY_TOKENS", "DecodeLimits", "DecodeResult",
     "DecodeStats", "DraftSource", "EfficiencyReport", "accelerated_decode",
-    "ar_decode", "aggregate_reports", "chunk_token_ranges", "compute_metrics",
-    "draft_generate", "longest_matching_prefix", "probe_backend", "repair_prompt",
+    "ar_decode", "aggregate_reports", "compute_metrics", "draft_generate",
+    "longest_matching_prefix", "probe_backend", "repair_prompt",
     # backends
     "EOS", "TargetOracleBackend", "SeededRandomBackend", "make_repair_oracle",
     # dataset

@@ -229,7 +229,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     backend = _build_backend(args, prompt, buggy_tokens)
     if args.probe:
         probe_backend(backend, prompt)
-    limits = DecodeLimits(max_tokens=args.max_tokens, fallback_run=args.fallback_run)
+    limits = DecodeLimits(max_tokens=args.max_tokens)
 
     # backends are pure functions of their input: run order changes nothing
     if args.mode == "ar" or args.compare:
@@ -292,12 +292,17 @@ def _bench_pairs(path: Path) -> list[tuple[str, str, str]]:
         string_field(rec, "fixed_code")))
     if not triples:
         raise RepairKitError(f"{path}: empty corpus")
+    seen: set[str] = set()
+    for pid, _, _ in triples:
+        if pid in seen:
+            raise RepairKitError(f"{path}: two repair pairs have the id {pid}")
+        seen.add(pid)
     return triples
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     triples = _bench_pairs(Path(args.corpus))[: args.limit]
-    limits = DecodeLimits(max_tokens=args.max_tokens, fallback_run=args.fallback_run)
+    limits = DecodeLimits(max_tokens=args.max_tokens)
     programs = []
     reports = []
     for pid, buggy_code, fixed_code in triples:
@@ -363,9 +368,6 @@ def _add_decode_options(p: argparse.ArgumentParser) -> None:
     defaults = DecodeLimits._field_defaults
     p.add_argument("--max-tokens", type=_int_at_least(1), default=defaults["max_tokens"],
                    help="hard cap on generated tokens (default %(default)s)")
-    p.add_argument("--fallback-run", type=_int_at_least(0), default=defaults["fallback_run"],
-                   help="first greedy run after a draft miss; doubles while the "
-                        "model ignores the draft (default %(default)s)")
     p.add_argument("--probe", action="store_true",
                    help="check backend determinism/causality before decoding")
 
@@ -452,10 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BackendContractError, LosslessnessError) as exc:
         print(f"repairkit: backend contract violated: {exc}", file=sys.stderr)
         return 3
-    except RepairKitError as exc:
-        print(f"repairkit: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (RepairKitError, OSError, ValueError) as exc:
         print(f"repairkit: {exc}", file=sys.stderr)
         return 1
 

@@ -5,13 +5,13 @@ iteration realigns the not-yet-consumed tail of the buggy token stream
 against the output produced so far, verifies that whole tail with a single
 forward pass, accepts the longest prefix that agrees with the model's own
 greedy predictions plus one correction token, and bridges disagreements
-with a short run of plain autoregressive steps.  The bridge is
-``DecodeLimits.fallback_run`` steps at first and doubles after each round
-that accepted no draft token and closed no statement, so a model that
-ignores the draft pays about log2(T / fallback_run) verify passes for T
-tokens; any progress resets it.  Every accepted token is conditioned on an
-already-verified prefix, so the output is token-for-token identical to
-plain greedy decoding — only the number of forward passes changes.
+with a short run of plain autoregressive steps.  The bridge is 5 steps at
+first and doubles after each round that accepted no draft token and closed
+no statement, so a model that ignores the draft pays about log2(T / 5)
+verify passes for T tokens; any progress resets it.  Every accepted token
+is conditioned on an already-verified prefix, so the output is
+token-for-token identical to plain greedy decoding — only the number of
+forward passes changes.
 
 Backends expose one method: ``forward(tokens)`` returns, for every position
 ``i``, the greedy next token after ``tokens[:i+1]``.  They must be
@@ -37,7 +37,6 @@ __all__ = [
     "DecodeResult",
     "DraftSource",
     "repair_prompt",
-    "chunk_token_ranges",
     "longest_matching_prefix",
     "draft_generate",
     "ar_decode",
@@ -50,6 +49,9 @@ __all__ = [
 
 # Tokens that close a statement for draft-alignment purposes.
 BOUNDARY_TOKENS = frozenset((";", "{", "}"))
+
+# The first greedy bridge after a draft miss, in tokens.
+_BRIDGE = 5
 
 
 class ModelBackend(Protocol):
@@ -68,20 +70,14 @@ def _pass_cost(context_length: int) -> float:
 
 class _DecodeLimits(NamedTuple):
     max_tokens: int = 4192
-    fallback_run: int = 5
 
 
 class DecodeLimits(Checked, _DecodeLimits):
-    """``fallback_run`` is the first greedy bridge after a draft miss; the
-    bridge doubles while the model ignores the draft (0 disables it)."""
-
     __slots__ = ()
 
     def _check(self) -> None:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.fallback_run < 0:
-            raise ValueError("fallback_run must be >= 0")
 
 
 class DecodeStats(NamedTuple):
@@ -101,21 +97,9 @@ class DecodeResult(NamedTuple):
     truncated: bool = False
 
 
-def chunk_token_ranges(tokens: Sequence[str]) -> tuple[tuple[int, int], ...]:
-    """Split a token stream into statement-ish chunks ending at boundaries."""
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i, tok in enumerate(tokens):
-        if tok in BOUNDARY_TOKENS:
-            ranges.append((start, i + 1))
-            start = i + 1
-    if start < len(tokens):
-        ranges.append((start, len(tokens)))
-    return tuple(ranges)
-
-
 class DraftSource(NamedTuple):
-    """The buggy token stream plus its statement chunking."""
+    """The buggy token stream plus its statement chunks: ``(start, end)``
+    ranges that end at a boundary token, then any unterminated tail."""
 
     tokens: tuple[str, ...]
     chunks: tuple[tuple[int, int], ...]
@@ -123,7 +107,15 @@ class DraftSource(NamedTuple):
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "DraftSource":
         toks = tuple(tokens)
-        return cls(tokens=toks, chunks=chunk_token_ranges(toks))
+        chunks: list[tuple[int, int]] = []
+        start = 0
+        for i, tok in enumerate(toks):
+            if tok in BOUNDARY_TOKENS:
+                chunks.append((start, i + 1))
+                start = i + 1
+        if start < len(toks):
+            chunks.append((start, len(toks)))
+        return cls(tokens=toks, chunks=tuple(chunks))
 
 
 def repair_prompt(buggy_tokens: Sequence[str],
@@ -244,7 +236,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     passes = draft_accepted = corrections = fallback_tokens = 0
     sim_cost = 0.0
     anchor = 0
-    bridge = limits.fallback_run
+    bridge = _BRIDGE
 
     while len(out) < cap and not (out and out[-1] == eos):
         draft, anchor = draft_generate(source, out, anchor)
@@ -272,7 +264,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             out += new
             ctx += new
             if new[-1] == eos or new[-1] in BOUNDARY_TOKENS:
-                bridge = limits.fallback_run
+                bridge = _BRIDGE
                 continue  # finished, or statement closed: realign immediately
             run = min(run - len(new), bridge)
         # Plain greedy steps.  With a draft they bridge the divergence and
@@ -293,7 +285,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
             # model is ignoring the draft: bridge twice as far before the
             # next verify pass re-offers it.
             stalled = not k and out[-1] not in BOUNDARY_TOKENS
-            bridge = bridge * 2 if stalled else limits.fallback_run
+            bridge = bridge * 2 if stalled else _BRIDGE
 
     stats = DecodeStats(passes, len(out), draft_accepted, corrections,
                         fallback_tokens, sim_cost)

@@ -21,13 +21,12 @@ __all__ = [
 ]
 
 STATEMENT_TOKENS = 5
+MIN_GAP = 3  # make_pair's least distance between diff regions, in statements
 
 
 class SyntheticPair(NamedTuple):
-    name: str
     buggy_tokens: tuple[str, ...]
     target_tokens: tuple[str, ...]
-    diff_statements: tuple[int, ...]
 
 
 def token_program(n_tokens: int) -> list[str]:
@@ -51,18 +50,17 @@ def perturb_statements(tokens: list[str], indices: list[int]) -> list[str]:
     return out
 
 
-def make_pair(n_tokens: int, n_regions: int, rng: random.Random,
-              name: str = "synthetic", min_gap: int = 3) -> SyntheticPair:
+def make_pair(n_tokens: int, n_regions: int, rng: random.Random) -> SyntheticPair:
     """Pair with ``n_regions`` single-statement diff regions, well separated."""
     buggy = token_program(n_tokens)
     n_stmts = n_tokens // STATEMENT_TOKENS
-    if n_regions * min_gap > n_stmts:
+    if n_regions * MIN_GAP > n_stmts:
         raise ValueError("too many regions for program size")
     chosen: list[int] = []
     candidates = list(range(n_stmts))
     rng.shuffle(candidates)
     for c in candidates:
-        if all(abs(c - p) >= min_gap for p in chosen):
+        if all(abs(c - p) >= MIN_GAP for p in chosen):
             chosen.append(c)
             if len(chosen) == n_regions:
                 break
@@ -70,12 +68,7 @@ def make_pair(n_tokens: int, n_regions: int, rng: random.Random,
         raise ValueError("could not place regions with the requested gap")
     chosen.sort()
     target = perturb_statements(buggy, chosen)
-    return SyntheticPair(
-        name=name,
-        buggy_tokens=tuple(buggy),
-        target_tokens=tuple(target),
-        diff_statements=tuple(chosen),
-    )
+    return SyntheticPair(tuple(buggy), tuple(target))
 
 
 def render_tokens(tokens: list[str] | tuple[str, ...]) -> str:

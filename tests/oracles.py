@@ -264,16 +264,18 @@ def accelerated_decode_ref(model, prompt, source: DraftSource,
     and the fallback bridge are separate loops.  The library accepts a
     verified slice at once and counts it afterwards.  Drafts come from
     ``decoding.draft_generate``, looked up at call time like the library's.
-    The bridge starts at ``fallback_run`` tokens, doubles after a round
-    that accepted no draft token and closed no statement, and is reset by
-    any other round.  A pass over n tokens costs ``1 + 0.001 * n``.
+    The bridge starts at 5 tokens (written here, not read from the
+    library), doubles after a round that accepted no draft token and closed
+    no statement, and is reset by any other round.  A pass over n tokens
+    costs ``1 + 0.001 * n``.
     """
+    first_bridge = 5
     eos = model.eos_token
     ctx = list(prompt)
     out: list[str] = []
     counts = DecodeStats()._asdict()
     anchor = 0
-    bridge = limits.fallback_run
+    bridge = first_bridge
     finished = False
 
     def forward(tokens):
@@ -321,7 +323,7 @@ def accelerated_decode_ref(model, prompt, source: DraftSource,
         if emit(correction, "corrections"):
             break
         if correction in BOUNDARY_TOKENS:
-            bridge = limits.fallback_run
+            bridge = first_bridge
             continue
 
         closed = False
@@ -338,7 +340,7 @@ def accelerated_decode_ref(model, prompt, source: DraftSource,
         if k == 0 and not closed:
             bridge += bridge
         else:
-            bridge = limits.fallback_run
+            bridge = first_bridge
 
     return DecodeResult(out, DecodeStats(**counts),
                         truncated=not (out and out[-1] == eos))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -637,6 +638,37 @@ def test_repair_compare_is_the_same_in_both_modes(pair_files, capsys, backend):
         assert runs[mode, True]["stats"] == runs[mode, False]["stats"]
 
 
+@pytest.mark.parametrize("mode", [["--mode", "fast"], ["--mode", "ar"], ["--compare"]],
+                         ids=["fast", "ar", "compare"])
+def test_repair_human_output_agrees_with_json(pair_files, capsys, mode):
+    buggy, fixed = pair_files
+    base = ["repair", str(buggy), "--backend", "oracle", "--target", str(fixed), *mode]
+    code, out, err = run_cli(base, capsys)
+    assert code == 0
+    code, js, _ = run_cli(base + ["--json"], capsys)
+    assert code == 0
+    payload = json.loads(js)
+    assert out == payload["text"]
+    lines = err.splitlines()
+    assert len(lines) == (2 if "--compare" in mode else 1)
+    stats_line = re.fullmatch(
+        r"(fast|ar): (\d+) tokens in (\d+) forward passes "
+        r"\(accepted=(\d+) corrections=(\d+) fallback=(\d+)\)", lines[0])
+    assert stats_line
+    s = payload["stats"]
+    assert stats_line[1] == payload["mode"]
+    assert [int(n) for n in stats_line.groups()[1:]] == [
+        s["tokens_emitted"], s["forward_passes"], s["draft_accepted"],
+        s["corrections"], s["ar_fallback_tokens"]]
+    if "--compare" in mode:
+        compare_line = re.fullmatch(r"step efficiency ([\d.]+), speedup ([\d.]+)",
+                                    lines[1])
+        assert compare_line
+        m = payload["metrics"]
+        assert float(compare_line[1]) == pytest.approx(m["step_efficiency"], abs=0.005)
+        assert float(compare_line[2]) == pytest.approx(m["speedup"], abs=0.005)
+
+
 def test_repair_missing_source_exits_1(tmp_path, capsys):
     code, _, _ = run_cli(
         ["repair", str(tmp_path / "gone.c"), "--backend", "random"], capsys)
@@ -717,6 +749,38 @@ def test_bench_rejects_bad_records(tmp_path, capsys, line, reason):
     assert f"{corpus}:2: bad repair pair record: {reason}" in err
 
 
+@pytest.mark.parametrize("first, second, repeated", [
+    ({"pair_id": "x"}, {"pair_id": "x"}, "x"),
+    ({"pair_id": "2"}, {}, "2"),  # the second record's id is its line number
+], ids=["shared-pair-id", "line-number"])
+def test_bench_jsonl_repeated_id_exits_1(tmp_path, capsys, first, second, repeated):
+    corpus = tmp_path / "pairs.jsonl"
+    code_pair = {"buggy_code": SUM_WRONG_OP, "fixed_code": SUM_OK}
+    corpus.write_text("".join(json.dumps({**rec, **code_pair}) + "\n"
+                              for rec in (first, second)))
+    code, out, err = run_cli(["bench", str(corpus), "--json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"{corpus}: two repair pairs have the id {repeated}" in err
+
+
+def test_bench_probe_changes_no_output(bench_dir, capsys, monkeypatch):
+    base = ["bench", str(bench_dir), "--json"]
+    code, out, _ = run_cli(base, capsys)
+    probed_programs = []
+    real_probe = cli.probe_backend
+
+    def counting_probe(backend, prompt):
+        probed_programs.append(prompt)
+        real_probe(backend, prompt)
+
+    monkeypatch.setattr(cli, "probe_backend", counting_probe)
+    probe_code, probed, _ = run_cli(base + ["--probe"], capsys)
+    assert code == probe_code == 0
+    assert len(probed_programs) == 2
+    assert probed == out
+
+
 def test_bench_ids_keep_their_subdirectory(tmp_path, capsys):
     root = tmp_path / "bench"
     for sub in ("a", "b"):
@@ -762,17 +826,41 @@ def test_max_tokens_below_one_is_a_usage_error(pair_files, capsys, value):
     assert "--max-tokens: must be >= 1" in err
 
 
-def test_negative_fallback_run_is_a_usage_error(bench_dir, capsys):
-    code, out, err = run_cli(["bench", str(bench_dir), "--fallback-run", "-1"], capsys)
+def test_removed_bridge_option_is_a_usage_error(bench_dir, capsys):
+    # the first greedy bridge is fixed at 5 tokens
+    code, out, err = run_cli(["bench", str(bench_dir), "--fallback-run", "5"], capsys)
     assert code == 2
     assert out == ""
-    assert "--fallback-run: must be >= 0" in err
-    code, _, _ = run_cli(["bench", str(bench_dir), "--fallback-run", "0", "--json"], capsys)
-    assert code == 0
+    assert "unrecognized arguments: --fallback-run" in err
 
 
 # ---------------------------------------------------------------------------
 # parser plumbing
+
+
+# every option string of each subcommand; adding or removing one is an edit here
+_OPTIONS = {
+    "mask": ["--aggregation", "--granularity", "--pair-id", "--problem-id",
+             "--sigma", "--strategy"],
+    "dataset": ["--aggregation", "--granularity", "--max-led", "--sigma",
+                "--stats", "--strategy"],
+    "triage": ["--config", "--meta", "--prompt"],
+    "repair": ["--backend", "--bug-type", "--compare", "--max-tokens", "--mode",
+               "--probe", "--target"],
+    "bench": ["--limit", "--max-tokens", "--probe"],
+}
+_COMMON_OPTIONS = ["--help", "--json", "--out", "--seed", "--verbose", "-h", "-v"]
+
+
+def test_each_subcommand_has_exactly_its_options():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(opt for action in sub._actions
+                        for opt in action.option_strings)
+           for name, sub in subparsers.choices.items()}
+    assert got == {name: sorted(opts + _COMMON_OPTIONS)
+                   for name, opts in _OPTIONS.items()}
 
 
 def test_unknown_command_exits_2(capsys):

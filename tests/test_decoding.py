@@ -14,8 +14,7 @@ from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
 from repairkit.decoding import (DecodeLimits, DecodeResult, DecodeStats,
                                 DraftSource, accelerated_decode,
-                                aggregate_reports, ar_decode,
-                                chunk_token_ranges, compute_metrics,
+                                aggregate_reports, ar_decode, compute_metrics,
                                 draft_generate, longest_matching_prefix,
                                 probe_backend, repair_prompt)
 from repairkit.errors import (BackendContractError, DegenerateInputError,
@@ -35,12 +34,12 @@ from oracles import accelerated_decode_ref
 
 def test_chunk_ranges_split_on_boundaries():
     toks = ["a", "=", ";", "{", "x", ";", "}"]
-    assert chunk_token_ranges(toks) == ((0, 3), (3, 4), (4, 6), (6, 7))
+    assert DraftSource.from_tokens(toks).chunks == ((0, 3), (3, 4), (4, 6), (6, 7))
 
 
 def test_chunk_ranges_keep_trailing_partial_statement():
-    assert chunk_token_ranges(["a", "b"]) == ((0, 2),)
-    assert chunk_token_ranges([]) == ()
+    assert DraftSource.from_tokens(["a", "b"]).chunks == ((0, 2),)
+    assert DraftSource.from_tokens([]).chunks == ()
 
 
 def test_longest_matching_prefix():
@@ -209,22 +208,21 @@ def _check_against_reference(backend, prompt, buggy, limits):
 
 
 @pytest.mark.parametrize(
-    "buggy, target, max_tokens, fallback_run, expected",
+    "buggy, target, max_tokens, expected",
     [
         # expected: (accepted, corrections, fallback tokens, passes, truncated)
-        (["a", ";", EOS, "b", ";"], ["a", ";"], 4192, 5, (3, 0, 0, 1, False)),
-        (["a", ";", "b", ";"], ["a", ";"], 4192, 5, (2, 1, 0, 1, False)),
-        (["a", ";", "b", ";"], ["a", ";", "b", ";"], 3, 5, (3, 0, 0, 1, True)),
-        (["a", ";", "b", ";"], ["a", ";", "c", ";"], 3, 5, (2, 1, 0, 1, True)),
-        (["a", ";"], ["a", ";", "b", "c", ";"], 4192, 5, (2, 1, 3, 4, False)),
-        (["a", "b", ";"], ["x", "y", ";"], 4192, 0, (0, 4, 0, 4, False)),
+        (["a", ";", EOS, "b", ";"], ["a", ";"], 4192, (3, 0, 0, 1, False)),
+        (["a", ";", "b", ";"], ["a", ";"], 4192, (2, 1, 0, 1, False)),
+        (["a", ";", "b", ";"], ["a", ";", "b", ";"], 3, (3, 0, 0, 1, True)),
+        (["a", ";", "b", ";"], ["a", ";", "c", ";"], 3, (2, 1, 0, 1, True)),
+        (["a", ";"], ["a", ";", "b", "c", ";"], 4192, (2, 1, 3, 4, False)),
     ],
     ids=["eos-in-draft", "eos-correction", "cap-in-draft", "cap-on-correction",
-         "exhausted-draft", "no-fallback"],
+         "exhausted-draft"],
 )
-def test_each_exit_matches_reference(buggy, target, max_tokens, fallback_run, expected):
+def test_each_exit_matches_reference(buggy, target, max_tokens, expected):
     backend = make_repair_oracle(buggy, target)
-    limits = DecodeLimits(max_tokens=max_tokens, fallback_run=fallback_run)
+    limits = DecodeLimits(max_tokens=max_tokens)
     _, truncated, stats, _ = _check_against_reference(
         backend, backend.prompt, buggy, limits)
     assert (stats["draft_accepted"], stats["corrections"],
@@ -241,8 +239,7 @@ def test_accounting_matches_reference_on_random_models(seed):
     vocab = [f"t{i}" for i in range(rng.randrange(1, 4))] + [EOS, ";", "{", "}"]
     buggy = [rng.choice(vocab) for _ in range(rng.randrange(0, 30))]
     backend = SeededRandomBackend(rng.randrange(2**32), vocab)
-    limits = DecodeLimits(max_tokens=rng.randrange(1, 40),
-                          fallback_run=rng.randrange(0, 5))
+    limits = DecodeLimits(max_tokens=rng.randrange(1, 40))
     _check_against_reference(backend, repair_prompt(buggy), buggy, limits)
 
 
@@ -263,8 +260,7 @@ def test_accounting_matches_reference_on_mostly_right_drafts(seed):
     if rng.random() < 0.3:
         buggy.append(EOS)  # accepted inside the draft when the rest is right
     backend = make_repair_oracle(buggy, fixed)
-    limits = DecodeLimits(max_tokens=rng.randrange(1, len(fixed) + 8),
-                          fallback_run=rng.randrange(0, 5))
+    limits = DecodeLimits(max_tokens=rng.randrange(1, len(fixed) + 8))
     _check_against_reference(backend, backend.prompt, buggy, limits)
 
 
@@ -280,7 +276,7 @@ def test_bridge_doubles_while_the_model_ignores_the_draft():
     prompt = repair_prompt(draft)
     tokens, _, stats, calls = _run_spied(
         accelerated_decode, backend, prompt, draft,
-        DecodeLimits(max_tokens=256, fallback_run=5))
+        DecodeLimits(max_tokens=256))
     assert tokens == ar_decode(backend, prompt, 256).tokens
     assert stats["forward_passes"] == 256
     # rounds of 1 verify pass plus bridges of 5, 10, 20, 40, 80, then the cap;
@@ -289,26 +285,28 @@ def test_bridge_doubles_while_the_model_ignores_the_draft():
     assert sum(len(draft) - anchor for _, anchor in calls) == 240
 
 
+def _fresh(lo: int, hi: int) -> list[str]:
+    return [f"x{i}" for i in range(lo, hi)]
+
+
 @pytest.mark.parametrize(
     "target, expected",
     [
-        # round 2 accepts "a" (bridge 2: p q), round 3 bridges 1 again
-        (["x", "y", "a", "z", "p", "q", "r", "s", "t", "u", "v"],
-         [0, 2, 6, 8, 11]),
-        # round 2's bridge closes a statement at ";", round 3 bridges 1 again
-        (["x", "y", "z", "w", ";", "p", "q", "r", "s", "t"],
-         [0, 2, 5, 7, 10]),
+        # round 1 stalls (bridge 5, now 10); round 2 accepts "a" (bridge 10),
+        # round 3 bridges 5 again and stalls, so round 4 bridges 10
+        (_fresh(0, 6) + ["a"] + _fresh(7, 40), [0, 6, 18, 24, 35]),
+        # round 2's bridge closes a statement at ";", round 3 bridges 5 again
+        (_fresh(0, 10) + [";"] + _fresh(11, 40), [0, 6, 11, 17, 28]),
         # round 2's correction itself closes a statement
-        (["x", "y", ";", "p", "q", "r", "s", "t", "u"],
-         [0, 2, 3, 5, 8]),
+        (_fresh(0, 6) + [";"] + _fresh(7, 40), [0, 6, 7, 13, 24]),
     ],
     ids=["accepted-token", "bridge-boundary", "correction-boundary"],
 )
 def test_bridge_resets_after_progress(target, expected):
     draft = ["a", "b", "c", "d", "e", "f"]
     backend = make_repair_oracle(draft, target)
-    tokens, _, _, calls = _run_spied(accelerated_decode, backend, backend.prompt,
-                                     draft, DecodeLimits(fallback_run=1))
+    tokens, _, _, calls = _check_against_reference(backend, backend.prompt,
+                                                   draft, DecodeLimits())
     assert tokens == target + [EOS]
     assert [n for n, _ in calls][:len(expected)] == expected
 
@@ -351,10 +349,10 @@ def test_fast_decode_is_lossless_on_random_models(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**48), st.integers(0, 3))
-def test_stats_invariants_on_random_models(seed, fallback):
+@given(st.integers(0, 2**48))
+def test_stats_invariants_on_random_models(seed):
     backend, prompt, buggy = _random_case(seed)
-    limits = DecodeLimits(max_tokens=48, fallback_run=fallback)
+    limits = DecodeLimits(max_tokens=48)
     fast = accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy), limits)
     s = fast.stats
     assert s.tokens_emitted == len(fast.tokens)
@@ -671,10 +669,6 @@ def test_sim_cost_sums_the_pass_costs_in_pass_order(decode):
 def test_decode_limits_validation():
     with pytest.raises(ValueError):
         DecodeLimits(max_tokens=0)
-    with pytest.raises(ValueError):
-        DecodeLimits(fallback_run=-1)
-    limits = DecodeLimits()
-    assert limits._replace(fallback_run=0).fallback_run == 0
 
 
 @pytest.mark.parametrize("config, change, message", [
