@@ -25,8 +25,7 @@ from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, mask_record, pair_mask,
                       pair_submissions)
 from .decoding import (DecodeLimits, DraftSource, accelerated_decode,
-                       aggregate_reports, ar_decode, compute_metrics,
-                       probe_backend, repair_prompt)
+                       aggregate_reports, ar_decode, compute_metrics, repair_prompt)
 from .errors import (BackendContractError, DegenerateInputError,
                      LosslessnessError, RepairKitError, read_jsonl, read_text,
                      string_field)
@@ -227,8 +226,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
     buggy_tokens = parse(read_text(args.source)).token_texts()
     prompt = repair_prompt(buggy_tokens, args.bug_type)
     backend = _build_backend(args, prompt, buggy_tokens)
-    if args.probe:
-        probe_backend(backend, prompt)
     limits = DecodeLimits(max_tokens=args.max_tokens)
 
     # backends are pure functions of their input: run order changes nothing
@@ -309,8 +306,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         buggy_tokens = parse(buggy_code).token_texts()
         backend = make_repair_oracle(buggy_tokens, parse(fixed_code).token_texts())
         prompt = backend.prompt
-        if args.probe:
-            probe_backend(backend, prompt)
         source = DraftSource.from_tokens(buggy_tokens)
         ar_res = ar_decode(backend, prompt, limits.max_tokens)
         acc_res = accelerated_decode(backend, prompt, source, limits)
@@ -368,8 +363,6 @@ def _add_decode_options(p: argparse.ArgumentParser) -> None:
     defaults = DecodeLimits._field_defaults
     p.add_argument("--max-tokens", type=_int_at_least(1), default=defaults["max_tokens"],
                    help="hard cap on generated tokens (default %(default)s)")
-    p.add_argument("--probe", action="store_true",
-                   help="check backend determinism/causality before decoding")
 
 
 def build_parser() -> argparse.ArgumentParser:

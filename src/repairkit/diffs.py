@@ -219,22 +219,19 @@ def align_statements(buggy: SourceUnit | str, fixed: SourceUnit | str) -> Aligne
         p.fixed for p in pairs if p.op in ("replace", "insert") and p.fixed is not None
     )
 
+    # a deleted statement anchors at the next fixed-side statement, else at
+    # the last one: hold deletions until a fixed-side statement comes
     anchors: dict[int, list[int]] = {}
-    for pos, p in enumerate(pairs):
-        if p.op != "delete" or p.buggy is None:
-            continue
-        anchor = None
-        for q in pairs[pos + 1:]:
-            if q.fixed is not None:
-                anchor = q.fixed
-                break
-        if anchor is None:
-            for q in reversed(pairs[:pos]):
-                if q.fixed is not None:
-                    anchor = q.fixed
-                    break
-        if anchor is not None:
-            anchors.setdefault(anchor, []).append(p.buggy)
+    held: list[int] = []
+    for p in pairs:
+        if p.fixed is None:
+            held.append(p.buggy)
+        elif held:
+            anchors.setdefault(p.fixed, []).extend(held)
+            held = []
+    if held and len(held) < len(pairs):
+        # the trailing deletions: pairs[-len(held) - 1] is the last fixed-side one
+        anchors.setdefault(pairs[-len(held) - 1].fixed, []).extend(held)
 
     return AlignedDiff(
         buggy=buggy,

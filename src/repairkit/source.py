@@ -152,7 +152,11 @@ class CodeFacts(NamedTuple):
 
 def _scan(text: str) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], bool]:
     """One pass over the text: the statement spans ``(start, end, block_id)``,
-    the comment spans ``(start, end)`` and whether the unit is degraded."""
+    the comment spans ``(start, end)`` and whether the unit is degraded.
+
+    Both lists are disjoint and in text order, so callers need not sort
+    them: a statement's span is emitted when it closes, before the next one
+    opens, and the scan skips over each comment as it finds it."""
     n = len(text)
     blank_run, plain_run = _BLANK_RUN.match, _PLAIN_RUN.match
     spans: list[tuple[int, int, int]] = []
@@ -347,7 +351,7 @@ def parse(text: str) -> SourceUnit:
 
     statements = []
     tokens: list[Token] = []
-    for idx, (s, e, block) in enumerate(sorted(spans)):
+    for idx, (s, e, block) in enumerate(spans):
         # the code segments: the parts of [s, e) outside the run of comments
         # from the first that ends past s (a comment may run past e)
         segments = []

@@ -173,6 +173,27 @@ def align_pairs_ref(a: list[str], b: list[str]) -> list[tuple]:
     return pairs[::-1]
 
 
+def deletion_anchors_ref(pairs) -> dict[int, tuple[int, ...]]:
+    """Each deleted buggy statement's anchor, from the definition.
+
+    The anchor is the first fixed-side statement after the deletion in
+    ``pairs``, else the last one before it; with no fixed-side statement at
+    all there is none.  Keys come in the order of their first deletion and
+    each value in pair order.  (The library holds deletions in one pass.)
+    """
+    fixed_at = [(pos, p[2]) for pos, p in enumerate(pairs) if p[2] is not None]
+    anchors: dict[int, tuple[int, ...]] = {}
+    for pos, (op, buggy, _) in enumerate(pairs):
+        if op != "delete":
+            continue
+        after = [fixed for at, fixed in fixed_at if at > pos]
+        before = [fixed for at, fixed in fixed_at if at < pos]
+        if after or before:
+            anchor = after[0] if after else before[-1]
+            anchors[anchor] = anchors.get(anchor, ()) + (buggy,)
+    return anchors
+
+
 def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[str]:
     """``SeededRandomBackend.forward`` as a scalar Horner loop over the prefix.
 

@@ -17,7 +17,6 @@ import pytest
 
 import repairkit
 from repairkit import cli
-from repairkit.errors import BackendContractError
 from repairkit.source import parse
 
 from conftest import (SUM_EXTRA_WS, SUM_OK, SUM_WRONG_OP, load_script,
@@ -570,15 +569,6 @@ def test_repair_oracle_compare(pair_files, capsys):
     assert "a + b" in payload["text"]
 
 
-def test_repair_oracle_probe(pair_files, capsys):
-    # probing asks the backend about prompt prefixes; the oracle must cope
-    buggy, fixed = pair_files
-    code, _, _ = run_cli(
-        ["repair", str(buggy), "--backend", "oracle", "--target", str(fixed),
-         "--probe", "--json"], capsys)
-    assert code == 0
-
-
 def test_repair_oracle_needs_target(pair_files, capsys):
     buggy, _ = pair_files
     code, _, err = run_cli(["repair", str(buggy), "--backend", "oracle"], capsys)
@@ -608,11 +598,10 @@ def test_repair_random_fast_matches_ar(pair_files, capsys):
 
 
 def test_repair_bug_type_flag(pair_files, capsys):
-    # the oracle is scripted with the <bug:SE> prompt, so probing it passes
     buggy, fixed = pair_files
     code, out, _ = run_cli(
         ["repair", str(buggy), "--backend", "oracle", "--target", str(fixed),
-         "--bug-type", "SE", "--probe", "--json"], capsys)
+         "--bug-type", "SE", "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert "a + b" in payload["text"]
@@ -675,17 +664,27 @@ def test_repair_missing_source_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+class _OneShortBackend:
+    """Wraps a backend and drops the last prediction of every pass."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.eos_token = backend.eos_token
+
+    def forward(self, tokens):
+        return self.backend.forward(tokens)[:-1]
+
+
 def test_contract_violation_exits_3(pair_files, capsys, monkeypatch):
+    # the decoder checks every pass's prediction count itself
     buggy, _ = pair_files
-
-    def bad_probe(backend, prompt):
-        raise BackendContractError("probe says no")
-
-    monkeypatch.setattr(cli, "probe_backend", bad_probe)
-    code, _, err = run_cli(
-        ["repair", str(buggy), "--backend", "random", "--probe"], capsys)
+    build = cli._build_backend
+    monkeypatch.setattr(cli, "_build_backend",
+                        lambda *args: _OneShortBackend(build(*args)))
+    code, out, err = run_cli(["repair", str(buggy), "--backend", "random"], capsys)
     assert code == 3
-    assert "contract" in err
+    assert out == ""
+    assert "backend contract violated" in err
 
 
 # ---------------------------------------------------------------------------
@@ -764,23 +763,6 @@ def test_bench_jsonl_repeated_id_exits_1(tmp_path, capsys, first, second, repeat
     assert f"{corpus}: two repair pairs have the id {repeated}" in err
 
 
-def test_bench_probe_changes_no_output(bench_dir, capsys, monkeypatch):
-    base = ["bench", str(bench_dir), "--json"]
-    code, out, _ = run_cli(base, capsys)
-    probed_programs = []
-    real_probe = cli.probe_backend
-
-    def counting_probe(backend, prompt):
-        probed_programs.append(prompt)
-        real_probe(backend, prompt)
-
-    monkeypatch.setattr(cli, "probe_backend", counting_probe)
-    probe_code, probed, _ = run_cli(base + ["--probe"], capsys)
-    assert code == probe_code == 0
-    assert len(probed_programs) == 2
-    assert probed == out
-
-
 def test_bench_ids_keep_their_subdirectory(tmp_path, capsys):
     root = tmp_path / "bench"
     for sub in ("a", "b"):
@@ -826,12 +808,19 @@ def test_max_tokens_below_one_is_a_usage_error(pair_files, capsys, value):
     assert "--max-tokens: must be >= 1" in err
 
 
-def test_removed_bridge_option_is_a_usage_error(bench_dir, capsys):
-    # the first greedy bridge is fixed at 5 tokens
-    code, out, err = run_cli(["bench", str(bench_dir), "--fallback-run", "5"], capsys)
+# the first greedy bridge is fixed at 5 tokens, and the decoder checks the
+# backend on every pass, so neither option has anything left to set
+@pytest.mark.parametrize("command, removed", [
+    (["bench", "DIR", "--fallback-run", "5"], "--fallback-run"),
+    (["bench", "DIR", "--probe"], "--probe"),
+    (["repair", "DIR/p1.buggy.c", "--backend", "random", "--probe"], "--probe"),
+], ids=["bench-fallback-run", "bench-probe", "repair-probe"])
+def test_removed_decode_option_is_a_usage_error(bench_dir, capsys, command, removed):
+    argv = [arg.replace("DIR", str(bench_dir)) for arg in command]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert "unrecognized arguments: --fallback-run" in err
+    assert f"unrecognized arguments: {removed}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +835,8 @@ _OPTIONS = {
                 "--stats", "--strategy"],
     "triage": ["--config", "--meta", "--prompt"],
     "repair": ["--backend", "--bug-type", "--compare", "--max-tokens", "--mode",
-               "--probe", "--target"],
-    "bench": ["--limit", "--max-tokens", "--probe"],
+               "--target"],
+    "bench": ["--limit", "--max-tokens"],
 }
 _COMMON_OPTIONS = ["--help", "--json", "--out", "--seed", "--verbose", "-h", "-v"]
 

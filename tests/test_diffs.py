@@ -1,15 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repairkit.diffs import (AlignPair, align_statements, levenshtein,
                              line_edit_distance)
 
 from conftest import gen_program, perturb_program
-from oracles import (align_cost_ref, align_pairs_ref, led_ref, lev_ref, lev_table_ref,
-                     lev_tokens_ref)
+from oracles import (align_cost_ref, align_pairs_ref, deletion_anchors_ref, led_ref,
+                     lev_ref, lev_table_ref, lev_tokens_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +202,38 @@ def test_trailing_deletion_falls_back_to_previous_statement():
     (anchor_idx, deleted), = diff.deletion_anchors.items()
     assert diff.fixed.statements[anchor_idx].text == "a = 1;"
     assert [diff.buggy.statements[i].text for i in deleted] == ["b = 2;"]
+
+
+_STATEMENTS = ["a = 1;", "b = 2;", "c = 3;", "f(x);", "return 0;"]
+
+
+@st.composite
+def edited_statements(draw):
+    """A short statement list and a copy of it with random edits, the first
+    and last statements and both ends of the list included."""
+    buggy = draw(st.lists(st.sampled_from(_STATEMENTS), max_size=8))
+    inserted = st.lists(st.sampled_from(_STATEMENTS), max_size=2)
+    fixed = []
+    for stmt in buggy:
+        fixed += draw(inserted)
+        edit = draw(st.sampled_from(["keep", "delete", "replace"]))
+        if edit == "keep":
+            fixed.append(stmt)
+        elif edit == "replace":
+            fixed.append(stmt.replace(";", " + 1;"))
+    fixed += draw(inserted)
+    return " ".join(buggy), " ".join(fixed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_statements())
+# deletions last, after one that anchors at the same statement
+@example(("x = 0; a = 1; b = 2; c = 3;", "a = 1;"))
+def test_deletion_anchors_match_the_reference(pair):
+    diff = align_statements(*pair)
+    got = diff.deletion_anchors
+    want = deletion_anchors_ref(diff.pairs)
+    assert list(got.items()) == list(want.items())
 
 
 # A changed last statement keeps the common suffix from settling the tie, so
