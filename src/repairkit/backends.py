@@ -4,15 +4,18 @@ Both satisfy the backend contract (deterministic, causal, one forward
 pass returns a greedy prediction per position) without any neural model:
 
 * :class:`TargetOracleBackend` — plays back one scripted target sequence
-  after its one prompt; the workhorse for efficiency fixtures.  A pass is
-  one prompt check and one slice of a stored prediction stream.
+  after its one prompt; the workhorse for efficiency fixtures.  It checks
+  the prompt once per pass for a list and once per buffer for a
+  :class:`~repairkit.decoding.Prefix`, which it answers with a ``Prefix``
+  of a stored prediction stream, so a greedy step costs O(1).
 * :class:`SeededRandomBackend` — adversarial hash-driven predictions; every
   prefix deterministically maps to an arbitrary next token.  Used to stress
   losslessness.  A pass hashes only the positions the previous pass did not
   share with it.
 
 Both keep ``forward(tokens)`` a pure function of ``tokens``: what
-they cache changes the cost of a pass, never its result.
+they cache changes the cost of a pass, never its result.  Both answer a
+list with a fresh list.
 
 Tokens are plain strings so fixtures stay readable.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import zlib
 from typing import Sequence
 
-from .decoding import longest_matching_prefix, repair_prompt
+from .decoding import Prefix, longest_matching_prefix, repair_prompt
 from .errors import DegenerateInputError, RepairKitError
 
 __all__ = [
@@ -39,8 +42,13 @@ class TargetOracleBackend:
     """Predicts one scripted token sequence after one prompt, then EOS forever.
 
     ``script`` sets the prompt and its prediction stream, the prompt's own
-    next tokens followed by the target, so a forward pass is one prompt check
-    and one slice of that stream.  An oracle is scripted once.
+    next tokens followed by the target; the stream is padded with EOS in
+    place as longer contexts arrive, and only ever grows.  A list is checked
+    against the prompt on every pass and answered with a slice of the
+    stream.  A :class:`~repairkit.decoding.Prefix` is checked once per
+    buffer: the oracle remembers the last buffer whose ``Prefix`` covered
+    and matched the whole prompt, and answers with a ``Prefix`` of the
+    stream.  An oracle is scripted once.
     """
 
     concurrent_safe = True
@@ -49,6 +57,8 @@ class TargetOracleBackend:
     def __init__(self) -> None:
         self.prompt: list[str] | None = None
         self._stream: list[str] = []
+        # a buffer known to start with the prompt, held so its id stays its own
+        self._checked: list | None = None
 
     def script(self, prompt: Sequence[str], target: Sequence[str]) -> None:
         if self.prompt is not None:
@@ -58,20 +68,27 @@ class TargetOracleBackend:
         self.prompt = list(prompt)
         self._stream = self.prompt[1:] + list(target)
 
-    def forward(self, tokens: Sequence[str]) -> list[str]:
-        if not isinstance(tokens, list):
-            tokens = list(tokens)
+    def forward(self, tokens: Sequence[str]) -> Sequence[str]:
         prompt = self.prompt
         if prompt is None:
             raise RepairKitError("this oracle has no script")
-        n, m = len(tokens), len(prompt)
-        # a context contains the prompt (decoding) or is a prefix of it (probing)
-        if (tokens[:m] != prompt) if m <= n else (prompt[:n] != tokens):
-            raise RepairKitError("no scripted target matches this prompt")
-        preds = self._stream[:n]
-        if len(preds) < n:
-            preds += [self.eos_token] * (n - len(preds))
-        return preds
+        view = isinstance(tokens, Prefix)
+        if view:
+            buffer, n = tokens.buffer, tokens.n
+        else:
+            buffer = tokens if isinstance(tokens, list) else list(tokens)
+            n = len(buffer)
+        if not view or buffer is not self._checked:
+            m = len(prompt)
+            # a context contains the prompt (decoding) or is a prefix of it (probing)
+            if (buffer[:m] != prompt) if m <= n else (buffer[:n] != prompt[:n]):
+                raise RepairKitError("no scripted target matches this prompt")
+            if view and m <= n:
+                self._checked = buffer
+        stream = self._stream
+        if len(stream) < n:
+            stream += [self.eos_token] * (n - len(stream))
+        return Prefix(stream, n) if view else stream[:n]
 
 
 _MASK64 = (1 << 64) - 1
@@ -115,7 +132,10 @@ class SeededRandomBackend:
 
     def forward(self, tokens: Sequence[str]) -> list[str]:
         # a copy: the cache must not see the caller's later appends
-        tokens = list(tokens)
+        if isinstance(tokens, Prefix):
+            tokens = tokens.buffer[:tokens.n]
+        else:
+            tokens = list(tokens)
         last_tokens, last_hashes, last_preds = self._last
         m = len(last_tokens)
         if m <= len(tokens) and tokens[:m] == last_tokens:

@@ -19,11 +19,19 @@ deterministic and causal; the verification pass re-checks previously
 emitted positions for free and aborts with ``BackendContractError`` when a
 backend drifts.  Both decoders also raise it for a pass that returns a
 different number of predictions than it was given tokens.
+
+Greedy steps hand ``forward`` a :class:`Prefix` of the decoder's context
+buffer, which only ever grows: the entries a ``Prefix`` covers never change
+afterwards, so a backend may check or hash a buffer once and reuse that work
+for every later ``Prefix`` of it.  Given a ``Prefix``, a backend may answer
+with a ``Prefix`` of its own grow-only buffer; the decoders only read a
+pass's result.  Verify passes hand a fresh list.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import (BackendContractError, Checked, DegenerateInputError,
@@ -32,6 +40,7 @@ from .errors import (BackendContractError, Checked, DegenerateInputError,
 __all__ = [
     "BOUNDARY_TOKENS",
     "ModelBackend",
+    "Prefix",
     "DecodeLimits",
     "DecodeStats",
     "DecodeResult",
@@ -54,11 +63,50 @@ BOUNDARY_TOKENS = frozenset((";", "{", "}"))
 _BRIDGE = 5
 
 
+class Prefix:
+    """A read-only view of the first ``n`` entries of ``buffer``.
+
+    Its maker promises that those entries never change: the buffer may only
+    grow.  Indexing stops at ``n`` whatever the buffer's length, and a slice
+    is a new list.
+    """
+
+    __slots__ = ("buffer", "n")
+
+    def __init__(self, buffer: list, n: int):
+        if not 0 <= n <= len(buffer):
+            raise ValueError(f"a prefix of {n} entries of a buffer of {len(buffer)}")
+        self.buffer = buffer
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return self.buffer[:self.n][i]
+        if i < 0:
+            i += self.n
+        if not 0 <= i < self.n:
+            raise IndexError("Prefix index out of range")
+        return self.buffer[i]
+
+    def __iter__(self):
+        return islice(self.buffer, self.n)
+
+
 class ModelBackend(Protocol):
+    """Anything with a greedy ``forward`` pass and an EOS token.
+
+    ``forward`` may be given a :class:`Prefix` of a grow-only buffer, and
+    may then cache work per buffer and answer with a ``Prefix`` of a
+    grow-only buffer of its own.  Callers only read the result.
+    """
+
     eos_token: str
     concurrent_safe: bool
 
-    def forward(self, tokens: Sequence[str]) -> list[str]:
+    def forward(self, tokens: Sequence[str]) -> Sequence[str]:
         """Greedy next-token prediction for every prefix of ``tokens``."""
         ...
 
@@ -167,7 +215,7 @@ def draft_generate(source: DraftSource, emitted: Sequence[str],
     return list(tokens[anchor:]), anchor
 
 
-def _forward(model: ModelBackend, tokens: Sequence[str]) -> list[str]:
+def _forward(model: ModelBackend, tokens: Sequence[str]) -> Sequence[str]:
     """``model.forward(tokens)``, held to one prediction per position."""
     preds = model.forward(tokens)
     if len(preds) != len(tokens):
@@ -186,11 +234,11 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
     eos = model.eos_token
-    ctx = list(prompt)
+    ctx = list(prompt)  # grows only, so each pass may see a Prefix of it
     out: list[str] = []
     sim_cost = 0.0
     while len(out) < max_tokens:
-        preds = _forward(model, ctx)
+        preds = _forward(model, Prefix(ctx, len(ctx)))
         sim_cost += _pass_cost(len(ctx))
         tok = preds[-1]
         out.append(tok)
@@ -231,7 +279,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
         raise DegenerateInputError("prompt is empty")
     limits = limits or DecodeLimits()
     eos, cap = model.eos_token, limits.max_tokens
-    ctx = list(prompt)
+    ctx = list(prompt)  # grows only, so greedy steps may see a Prefix of it
     out: list[str] = []
     passes = draft_accepted = corrections = fallback_tokens = 0
     sim_cost = 0.0
@@ -271,7 +319,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
         # stop early at a statement boundary so realignment can kick in;
         # with the draft exhausted they decode the remainder.
         for _ in range(run):
-            preds = _forward(model, ctx)
+            preds = _forward(model, Prefix(ctx, len(ctx)))
             passes += 1
             sim_cost += _pass_cost(len(ctx))
             tok = preds[-1]

@@ -218,9 +218,9 @@ def oracle_forward_ref(prompt: list[str], target: list[str], eos: str,
                        tokens: list[str]) -> list[str]:
     """``TargetOracleBackend.forward`` after ``script(prompt, target)``.
 
-    The context is checked token by token and the predictions are built one
-    position at a time; the library compares slices and slices a stored
-    stream.
+    The context is checked token by token on every call and the predictions
+    are built one position at a time; the library compares slices, checks
+    a ``Prefix``'s buffer once, and answers from a stored stream.
     """
     for i, tok in enumerate(tokens[:len(prompt)]):
         if tok != prompt[i]:

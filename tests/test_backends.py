@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import repairkit
 from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
+from repairkit.decoding import Prefix, ar_decode
 from repairkit.errors import RepairKitError
 
 from oracles import oracle_forward_ref, seeded_random_ref
@@ -106,6 +107,59 @@ def test_oracle_matches_the_reference(prompt, target, tail):
         assert _outcome(backend.forward, ctx) == \
             _outcome(lambda t: oracle_forward_ref(prompt, target, EOS, t), ctx)
     assert _outcome(backend.forward, ["z"] + tail) == "no match"
+
+
+def test_oracle_checks_every_buffer_but_the_cached_one():
+    backend = TargetOracleBackend()
+    backend.script(["p", "q"], ["x"])
+    good = ["p", "q"]
+    assert list(backend.forward(Prefix(good, 2))) == ["q", "x"]
+    # good is cached now; other buffers are still checked, short ones too
+    for bad, n in ((["p", "z"], 2), (["z", "q", "x"], 3), (["z", "q"], 1)):
+        with pytest.raises(RepairKitError,
+                           match="no scripted target matches this prompt"):
+            backend.forward(Prefix(bad, n))
+    good.append("x")
+    assert list(backend.forward(Prefix(good, 3))) == ["q", "x", EOS]
+
+
+def test_oracle_caches_no_buffer_shorter_than_its_prompt():
+    backend = TargetOracleBackend()
+    backend.script(["p", "q", "r"], ["x"])
+    buf = ["p"]
+    assert list(backend.forward(Prefix(buf, 1))) == ["q"]
+    buf += ["z", "z"]
+    with pytest.raises(RepairKitError, match="no scripted target matches"):
+        backend.forward(Prefix(buf, 3))
+
+
+_GROW_TOKS = st.sampled_from(["a", "b", "x"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=4),
+       st.lists(st.sampled_from(["x", "a", EOS]), max_size=4),
+       st.integers(0, 4),
+       st.lists(st.lists(_GROW_TOKS, min_size=1, max_size=3), max_size=5),
+       st.integers(0, 2**32))
+def test_prefix_passes_match_list_passes(prompt, target, keep, appends, seed):
+    # one buffer grown by appends, as the decoders grow their context; every
+    # prefix of it is read as a Prefix and as a list, short ones included
+    oracle = TargetOracleBackend()
+    oracle.script(prompt, target)
+    rand = SeededRandomBackend(seed, ["a", "b", "x"])
+    vocab = list(rand.vocab)
+    buf = prompt[:keep]
+    for chunk in [[]] + appends:
+        buf += chunk
+        for n in range(len(buf) + 1):
+            want = _outcome(lambda t: oracle_forward_ref(prompt, target, EOS, t),
+                            buf[:n])
+            assert _outcome(oracle.forward, buf[:n]) == want
+            assert _outcome(lambda t: list(oracle.forward(t)), Prefix(buf, n)) == want
+            want = seeded_random_ref(seed, vocab, buf[:n])
+            assert rand.forward(buf[:n]) == want
+            assert rand.forward(Prefix(buf, n)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +295,46 @@ def test_seeded_backend_shared_by_threads_matches_the_reference():
     assert not any(th.is_alive() for th in threads)
     assert errors == []
     assert len(passes) == 4 * _THREAD_PASSES
+
+
+_THREAD_DECODES = 25
+
+
+def test_oracle_shared_by_threads_decodes_as_a_serial_run():
+    # each thread's context is its own buffer, so the threads keep replacing
+    # the oracle's cached buffer and growing its stream
+    prompt = ["<fix>"] + [f"b{i % 7}" for i in range(60)] + ["<sep>"]
+    target = [f"t{i % 11}" for i in range(120)]
+    serial = TargetOracleBackend()
+    serial.script(prompt, target)
+    want = [ar_decode(serial, prompt, cap).tokens for cap in (40, 200)]
+    backend = TargetOracleBackend()
+    backend.script(prompt, target)
+    runs, errors = [], []
+
+    def decode(t: int) -> None:
+        try:
+            for i in range(_THREAD_DECODES):
+                cap = (40, 200)[(t + i) % 2]
+                if ar_decode(backend, prompt, cap).tokens != want[(t + i) % 2]:
+                    errors.append((t, i))
+                runs.append(t)
+        except Exception as exc:  # reported below with the thread that raised it
+            errors.append((t, exc))
+
+    threads = [threading.Thread(target=decode, args=(t,)) for t in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(runs) == 4 * _THREAD_DECODES
 
 
 def test_importing_repairkit_and_its_cli_loads_no_unused_modules():

@@ -13,7 +13,7 @@ from repairkit import decoding
 from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
 from repairkit.decoding import (DecodeLimits, DecodeResult, DecodeStats,
-                                DraftSource, accelerated_decode,
+                                DraftSource, Prefix, accelerated_decode,
                                 aggregate_reports, ar_decode, compute_metrics,
                                 draft_generate, longest_matching_prefix,
                                 probe_backend, repair_prompt)
@@ -83,6 +83,46 @@ def test_repeated_statements_match_the_next_occurrence():
     # anchor 2 forces the second "x ;" chunk, resuming at "y"
     assert anchor == 4
     assert draft == ["y", ";"]
+
+
+# ---------------------------------------------------------------------------
+# the Prefix view
+
+
+def test_prefix_reads_only_its_first_n_entries():
+    buf = ["a", "b", "c", "d", "e"]
+    view = Prefix(buf, 3)
+    assert len(view) == 3
+    assert [view[0], view[2], view[-1], view[-3]] == ["a", "c", "c", "a"]
+    for i in (3, 4, -4):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view[:] == ["a", "b", "c"] and type(view[:]) is list
+    assert view[1:10] == ["b", "c"]
+    assert view[::2] == ["a", "c"]
+    assert view[::-1] == ["c", "b", "a"]
+    assert view[-2::-2] == ["b"]
+    assert list(view) == ["a", "b", "c"]
+    buf.append("f")
+    assert list(view) == ["a", "b", "c"] and len(view) == 3
+    assert list(Prefix(buf, 0)) == [] and Prefix(buf, 0)[:] == []
+
+
+def test_prefix_refuses_a_length_outside_its_buffer():
+    for n in (-1, 3):
+        with pytest.raises(ValueError):
+            Prefix(["a", "b"], n)
+
+
+_SLICE_BOUND = st.one_of(st.none(), st.integers(-8, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3), _SLICE_BOUND, _SLICE_BOUND,
+       st.one_of(st.none(), st.integers(-3, 3).filter(bool)))
+def test_prefix_slices_like_a_list(n, extra, start, stop, step):
+    buf = [f"t{i}" for i in range(n + extra)]
+    assert Prefix(buf, n)[start:stop:step] == buf[:n][start:stop:step]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +517,7 @@ class _DriftingBackend:
         self.calls = 0
 
     def forward(self, tokens):
-        preds = self._oracle.forward(tokens)
+        preds = list(self._oracle.forward(tokens))
         self.calls += 1
         if self.calls > 1:
             for j in self.drift_at:
@@ -528,7 +568,7 @@ class _OffByBackend:
         self.delta = delta
 
     def forward(self, tokens):
-        preds = self._oracle.forward(tokens) + [EOS] * max(self.delta, 0)
+        preds = list(self._oracle.forward(tokens)) + [EOS] * max(self.delta, 0)
         return preds[:len(tokens) + self.delta]
 
 
@@ -648,6 +688,48 @@ class _PassLengths:
     def forward(self, tokens):
         self.lengths.append(len(tokens))
         return self._oracle.forward(tokens)
+
+
+class _PassInputs:
+    """An oracle that records what each forward pass is handed: the
+    buffer of a ``Prefix`` or the list itself, and the length."""
+
+    eos_token = EOS
+
+    def __init__(self, buggy, target):
+        self._oracle = make_repair_oracle(buggy, target)
+        self.prompt = self._oracle.prompt
+        self.passes = []
+
+    def forward(self, tokens):
+        buffer = tokens.buffer if isinstance(tokens, Prefix) else tokens
+        self.passes.append((type(tokens), buffer, len(tokens)))
+        return self._oracle.forward(tokens)
+
+
+def test_ar_decode_passes_prefixes_of_one_growing_buffer():
+    buggy = ["a", "=", "1", ";", "b", "=", "2", ";"]
+    backend = _PassInputs(buggy, buggy[:6] + ["5", ";"])
+    res = ar_decode(backend, backend.prompt)
+    m = len(backend.prompt)
+    assert [kind for kind, _, _ in backend.passes] == [Prefix] * len(res.tokens)
+    assert len({id(buffer) for _, buffer, _ in backend.passes}) == 1
+    assert [n for _, _, n in backend.passes] == list(range(m, m + len(res.tokens)))
+
+
+def test_accelerated_decode_verifies_lists_and_steps_on_prefixes():
+    buggy = ["a", "=", "1", ";", "b", "=", "2", ";", "c", "=", "3", ";"]
+    backend = _PassInputs(buggy, buggy[:4] + ["b", "=", "5", ";"] + buggy[8:])
+    res = accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy))
+    greedy = [(buffer, n) for kind, buffer, n in backend.passes if kind is Prefix]
+    verify = [buffer for kind, buffer, _ in backend.passes if kind is list]
+    assert len(greedy) == res.stats.ar_fallback_tokens > 0
+    assert len(verify) == res.stats.forward_passes - len(greedy) > 0
+    # every greedy step reads the one context buffer; a verify pass is a fresh list
+    assert len({id(buffer) for buffer, _ in greedy}) == 1
+    assert [n for _, n in greedy] == sorted({n for _, n in greedy})
+    assert all(v is not greedy[0][0] for v in verify)
+    assert len({id(v) for v in verify}) == len(verify)
 
 
 @pytest.mark.parametrize("decode", ["ar", "fast"])

@@ -19,7 +19,9 @@ from pathlib import Path
 import pytest
 
 from repairkit.backends import SeededRandomBackend, TargetOracleBackend
-from repairkit.decoding import repair_prompt
+from repairkit.decoding import Prefix, repair_prompt
+
+from conftest import load_script
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,6 +69,18 @@ def test_forward_proxy_wraps_every_backend(harness, make):
     assert (proxy.passes, proxy.positions) == (1, len(prompt))
 
 
+def test_forward_proxy_hands_a_prefix_through(harness):
+    _, tracing = harness
+    prompt = repair_prompt(["a", "=", "1", ";"])
+    buf = prompt + ["a", "x"]
+    backend = _oracle(prompt)
+    proxy = tracing.ForwardProxy(backend, None, "backends.forward")
+    got = proxy.forward(Prefix(buf, len(prompt) + 1))
+    assert isinstance(got, Prefix)
+    assert list(got) == backend.forward(buf[:len(prompt) + 1])
+    assert (proxy.passes, proxy.positions) == (1, len(prompt) + 1)
+
+
 def test_perfbench_selftest_accepts_real_output():
     # perfbench's checks must accept what repairkit writes now, and still
     # reject each corrupted copy; the selftest leaves an empty .work behind
@@ -81,3 +95,59 @@ def test_perfbench_selftest_accepts_real_output():
             shutil.rmtree(work, ignore_errors=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: 36/36 as expected" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# scripts/ab.py, the A/B runner over two checkouts
+
+_E2E = [{"name": "throughput_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "latency_p90_ms", "unit": "ms", "better": "lower"}]
+
+
+def _pairs(parent, change):
+    return [({"throughput_per_s": p, "latency_p90_ms": -p},
+             {"throughput_per_s": c, "latency_p90_ms": -c})
+            for p, c in zip(parent, change)]
+
+
+def test_ab_summary_counts_wins_and_reads_the_direction():
+    ab = load_script("ab")
+    # the change wins 9 pairs and ties one; its median 23.5 beats 9.5 by
+    # more than the parent's interquartile range 11.75 - 7.25
+    rows = ab.summarize(_pairs(range(5, 15), [20, 21, 22, 23, 24, 26, 27, 28, 29, 14]),
+                        _E2E)
+    up, down = rows
+    assert up.parent == (7.25, 9.5, 11.75)
+    assert up.change[1] == 23.5
+    assert (up.wins, up.losses, up.gain) == (9, 0, True)
+    # the same numbers negated, where lower is better: the same verdict
+    assert (down.wins, down.losses, down.gain) == (9, 0, True)
+    assert down.parent == (-11.75, -9.5, -7.25)
+
+
+def test_ab_summary_needs_nine_wins_in_ten_and_a_median_past_the_spread():
+    ab = load_script("ab")
+    # 8 wins in 10: no gain, however large
+    [row, _] = ab.summarize(_pairs([1] * 10, [9] * 8 + [0, 0]), _E2E)
+    assert (row.wins, row.losses, row.gain) == (8, 2, False)
+    # every pair won, but the medians differ by less than the parent's spread
+    [row, _] = ab.summarize(_pairs([0, 10, 0, 10], [1, 11, 1, 11]), _E2E)
+    assert (row.wins, row.gain) == (4, False)
+    # one pair: its own median and quartiles
+    [row, _] = ab.summarize(_pairs([3], [4]), _E2E)
+    assert row.parent == (3, 3, 3) and (row.wins, row.gain) == (1, True)
+    text = ab.format_rows([row], 1)
+    assert "throughput_per_s" in text and "1/0  of 1" in text
+
+
+@pytest.mark.parametrize("argv", [
+    [".", ".", "--workload", "repair", "--pairs", "0"],
+    [".", ".", "--workload", "repair", "--seconds", "0"],
+    ["/nonexistent-checkout", ".", "--workload", "repair"],
+])
+def test_ab_rejects_bad_arguments_before_running(argv, capsys):
+    ab = load_script("ab")
+    with pytest.raises(SystemExit) as exc:
+        ab.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
