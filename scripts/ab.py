@@ -62,11 +62,11 @@ def summarize(pairs: Sequence[tuple[dict, dict]], metrics: Sequence[dict]) -> li
 
 
 def format_rows(rows: Sequence[Row], n_pairs: int) -> str:
-    lines = [f"{'metric':<18} {'better':<7} {'parent q1/median/q3':>32} "
+    lines = [f"{'metric (unit)':<24} {'better':<7} {'parent q1/median/q3':>32} "
              f"{'change q1/median/q3':>32}  wins/losses  gain"]
     for r in rows:
         sides = ["/".join(f"{v:.4g}" for v in q) for q in (r.parent, r.change)]
-        lines.append(f"{r.name:<18} {r.better:<7} {sides[0]:>32} {sides[1]:>32}  "
+        lines.append(f"{f'{r.name} ({r.unit})':<24} {r.better:<7} {sides[0]:>32} {sides[1]:>32}  "
                      f"{r.wins:>4}/{r.losses:<2} of {n_pairs}  {'yes' if r.gain else 'no'}")
     return "\n".join(lines)
 

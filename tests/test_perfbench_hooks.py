@@ -137,7 +137,7 @@ def test_ab_summary_needs_nine_wins_in_ten_and_a_median_past_the_spread():
     [row, _] = ab.summarize(_pairs([3], [4]), _E2E)
     assert row.parent == (3, 3, 3) and (row.wins, row.gain) == (1, True)
     text = ab.format_rows([row], 1)
-    assert "throughput_per_s" in text and "1/0  of 1" in text
+    assert "throughput_per_s (1/s)" in text and "1/0  of 1" in text
 
 
 @pytest.mark.parametrize("argv", [
