@@ -6,12 +6,14 @@ run in a fresh process, and the side that runs first alternates from pair
 to pair.  For every end-to-end metric of ``BENCHMARK.json`` (read from the
 parent checkout, which also says which direction is better) it prints each
 side's median and quartiles, the pairs the change won and lost (ties count
-for neither), and whether the change gains: it wins at least 9 pairs in 10
-and its median beats the parent's by more than the parent's interquartile
-range.  Exits 1 if a run fails, and 2 on a bad argument.
+for neither), and whether the change gains: at least 10 pairs ran, it won
+at least 9 pairs in 10, and its median beats the parent's by more than the
+parent's interquartile range.  Every run lasts the parent's
+``run_seconds``, and ``--workload`` must name one of its ``workloads``.
+Exits 1 if a run fails, and 2 on a bad argument.
 
     python3 scripts/ab.py PARENT_DIR CHANGE_DIR --workload repair \\
-        --pairs 10 --seconds 20 --seed 7
+        --pairs 10 --seed 11
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def summarize(pairs: Sequence[tuple[dict, dict]], metrics: Sequence[dict]) -> li
         wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
         losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
         pq, cq = _quartiles(parent), _quartiles(change)
-        gain = 10 * wins >= 9 * len(pairs) and sign * (cq[1] - pq[1]) > pq[2] - pq[0]
+        gain = (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                and sign * (cq[1] - pq[1]) > pq[2] - pq[0])
         rows.append(Row(name, m["unit"], m["better"], pq, cq, wins, losses, gain))
     return rows
 
@@ -92,17 +95,18 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    if not args.seconds > 0:
-        ap.error("--seconds must be > 0")
     for side in (args.parent, args.change):
         if not (side / "perfbench" / "run.py").is_file():
             ap.error(f"{side} has no perfbench/run.py")
-    metrics = json.loads((args.parent / "BENCHMARK.json").read_text("utf-8"))["end_to_end"]
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text("utf-8"))
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload not in workloads:
+        ap.error(f"--workload must be one of {', '.join(workloads)}")
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
     sides = [("parent", args.parent), ("change", args.change)]
     pairs = []
@@ -110,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         values = {}
         for label, checkout in sides if i % 2 == 0 else sides[::-1]:
             try:
-                values[label] = run_once(checkout, args.workload, args.seed, args.seconds)
+                values[label] = run_once(checkout, args.workload, args.seed, seconds)
             except (RuntimeError, subprocess.TimeoutExpired) as exc:
                 print(f"ab: pair {i + 1}: {exc}", file=sys.stderr)
                 return 1

@@ -125,7 +125,7 @@ def test_ab_summary_counts_wins_and_reads_the_direction():
     assert down.parent == (-11.75, -9.5, -7.25)
 
 
-def test_ab_summary_needs_nine_wins_in_ten_and_a_median_past_the_spread():
+def test_ab_summary_needs_ten_pairs_nine_wins_in_ten_and_a_median_past_the_spread():
     ab = load_script("ab")
     # 8 wins in 10: no gain, however large
     [row, _] = ab.summarize(_pairs([1] * 10, [9] * 8 + [0, 0]), _E2E)
@@ -133,16 +133,21 @@ def test_ab_summary_needs_nine_wins_in_ten_and_a_median_past_the_spread():
     # every pair won, but the medians differ by less than the parent's spread
     [row, _] = ab.summarize(_pairs([0, 10, 0, 10], [1, 11, 1, 11]), _E2E)
     assert (row.wins, row.gain) == (4, False)
-    # one pair: its own median and quartiles
+    # one pair won: its own median and quartiles, and too few pairs to gain
     [row, _] = ab.summarize(_pairs([3], [4]), _E2E)
-    assert row.parent == (3, 3, 3) and (row.wins, row.gain) == (1, True)
+    assert row.parent == (3, 3, 3) and (row.wins, row.gain) == (1, False)
     text = ab.format_rows([row], 1)
     assert "throughput_per_s (1/s)" in text and "1/0  of 1" in text
+    # nine pairs all won by far: still too few
+    [row, _] = ab.summarize(_pairs([1] * 9, [9] * 9), _E2E)
+    assert (row.wins, row.gain) == (9, False)
 
 
 @pytest.mark.parametrize("argv", [
     [".", ".", "--workload", "repair", "--pairs", "0"],
-    [".", ".", "--workload", "repair", "--seconds", "0"],
+    [".", ".", "--workload", "all"],
+    [".", ".", "--workload", "repiar"],
+    [".", ".", "--workload", "repair", "--seconds", "20"],
     ["/nonexistent-checkout", ".", "--workload", "repair"],
 ])
 def test_ab_rejects_bad_arguments_before_running(argv, capsys):
