@@ -298,7 +298,7 @@ def _bench_pairs(path: Path) -> list[tuple[str, str, str]]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    triples = _bench_pairs(Path(args.corpus))[: args.limit]
+    triples = _bench_pairs(Path(args.corpus))
     limits = DecodeLimits(max_tokens=args.max_tokens)
     programs = []
     reports = []
@@ -372,16 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "for student C programs.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="global RNG seed")
     common.add_argument("--json", action="store_true",
                         help="write the machine-readable artifact to stdout")
     common.add_argument("--out", help="write the primary artifact to this file")
-    common.add_argument("-v", "--verbose", action="store_true",
-                        help="log progress and drop reasons to stderr")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="global RNG seed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mask", parents=[common],
+    p = sub.add_parser("mask", parents=[seeded],
                        help="weight the fixed side of one repair pair")
     p.add_argument("buggy", help="buggy source file")
     p.add_argument("fixed", help="fixed source file")
@@ -390,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mask_options(p)
     p.set_defaults(func=cmd_mask)
 
-    p = sub.add_parser("dataset", parents=[common],
+    p = sub.add_parser("dataset", parents=[seeded],
                        help="pair, filter and export a submission archive")
     p.add_argument("archive", help="archive directory or submissions JSONL")
+    p.add_argument("-v", "--verbose", action="store_true", help="log each dropped pair to stderr")
     p.add_argument("--max-led", type=_int_at_least(0), default=10,
                    help="drop pairs whose line edit distance exceeds this (default 10)")
     p.add_argument("--stats", help="also write corpus statistics JSON here")
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the repair prompt in the report")
     p.set_defaults(func=cmd_triage)
 
-    p = sub.add_parser("repair", parents=[common],
+    p = sub.add_parser("repair", parents=[seeded],
                        help="decode a repair with a mock backend")
     p.add_argument("source", help="buggy C source file")
     p.add_argument("--backend", choices=("oracle", "random"), required=True)
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="decode efficiency over a corpus of repair pairs")
     p.add_argument("corpus", help="corpus JSONL or directory of *.buggy.c/*.fixed.c")
-    p.add_argument("--limit", type=_int_at_least(1), help="bench only the first N pairs")
+    p.add_argument("--seed", type=int, default=0, help="ignored: bench uses no randomness")
     _add_decode_options(p)
     p.set_defaults(func=cmd_bench)
 
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
+        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

@@ -64,7 +64,7 @@ _BRIDGE = 5
 
 
 class Prefix:
-    """A read-only view of the first ``n`` entries of ``buffer``.
+    """A read-only view of the first ``n`` entries of the list ``buffer``.
 
     Its maker promises that those entries never change: the buffer may only
     grow.  Indexing stops at ``n`` whatever the buffer's length, and a slice
@@ -74,6 +74,9 @@ class Prefix:
     __slots__ = ("buffer", "n")
 
     def __init__(self, buffer: list, n: int):
+        # a backend slices the buffer and compares the slice with its own lists
+        if not isinstance(buffer, list):
+            raise TypeError(f"a Prefix views a list, not a {type(buffer).__name__}")
         if not 0 <= n <= len(buffer):
             raise ValueError(f"a prefix of {n} entries of a buffer of {len(buffer)}")
         self.buffer = buffer

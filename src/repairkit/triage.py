@@ -207,32 +207,35 @@ def _exits_within(pid: int, timeout_s: float) -> bool:
         os.close(fd)
 
 
-def _run_jailed(argv: list[str], jail: Path, stdin, stdout, stderr, timeout_s: float,
-                env: dict | None = None, fsize: int | None = None) -> tuple[int, bool]:
-    """Run ``argv`` in ``jail`` in its own session, its files capped at
-    ``fsize`` bytes, until it exits or times out; then kill its whole group.
-    Returns the exit code and whether it timed out."""
+def _run_jailed(argv: list[str], jail: Path, stdin, timeout_s: float, keep: int, stderr=False,
+                env: dict | None = None, fsize: int | None = None) -> tuple[int, bool, bytes]:
+    """Run ``argv`` in ``jail`` in its own session, its files capped at ``fsize`` bytes,
+    until it exits or times out; then kill its whole group.  Returns the exit code,
+    whether it timed out, and the first ``keep`` bytes of stdout (stderr if ``stderr``)."""
     if not (hasattr(os, "pidfd_open") and hasattr(resource, "prlimit")):
         raise RepairKitError(f"{_PLATFORM}, which this platform lacks")
-    proc = subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr,
-                            cwd=jail, env=env, start_new_session=True)
-    try:
+    with tempfile.TemporaryFile(dir=jail) as capture:
+        out, err = (subprocess.DEVNULL, capture) if stderr else (capture, subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, stdin=stdin, stdout=out, stderr=err,
+                                cwd=jail, env=env, start_new_session=True)
         try:
-            # set from the parent so no preexec_fn is needed (thread-safe)
-            if fsize is not None:
-                resource.prlimit(proc.pid, resource.RLIMIT_FSIZE, (fsize, fsize))
-        except OSError:
-            pass
-        timed_out = not _exits_within(proc.pid, timeout_s)
-    finally:
-        # the leader is not reaped yet, so its pid still names the group:
-        # kill whatever the program left running, then reap
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            proc.kill()
-        proc.wait()
-    return proc.returncode, timed_out
+            try:
+                # set from the parent so no preexec_fn is needed (thread-safe)
+                if fsize is not None:
+                    resource.prlimit(proc.pid, resource.RLIMIT_FSIZE, (fsize, fsize))
+            except OSError:
+                pass
+            timed_out = not _exits_within(proc.pid, timeout_s)
+        finally:
+            # the leader is not reaped yet, so its pid still names the group:
+            # kill whatever the program left running, then reap
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                proc.kill()
+            proc.wait()
+        capture.seek(0)
+        return proc.returncode, timed_out, capture.read(keep)
 
 
 def compile_source(code: str, config: ExecutorConfig, jail: Path) -> tuple[bool, str, Path]:
@@ -242,18 +245,15 @@ def compile_source(code: str, config: ExecutorConfig, jail: Path) -> tuple[bool,
     src.write_text(code, encoding="utf-8", errors="surrogateescape")
     argv = _compiler_argv(config.compiler_cmd, str(src), str(out))
     # no file-size cap: a linked binary may exceed max_output_bytes
-    with tempfile.TemporaryFile(dir=jail) as err_fh:
-        try:
-            returncode, timed_out = _run_jailed(
-                argv, jail, subprocess.DEVNULL, subprocess.DEVNULL, err_fh,
-                config.compile_timeout_s, env={**os.environ, "TMPDIR": str(jail)})
-        except FileNotFoundError as exc:
-            raise RepairKitError(f"compiler not found: {argv[0]}") from exc
-        err_fh.seek(0)
-        diag = err_fh.read(config.max_output_bytes).decode("utf-8", errors="replace")
+    try:
+        returncode, timed_out, diag = _run_jailed(
+            argv, jail, subprocess.DEVNULL, config.compile_timeout_s,
+            config.max_output_bytes, stderr=True, env={**os.environ, "TMPDIR": str(jail)})
+    except FileNotFoundError as exc:
+        raise RepairKitError(f"compiler not found: {argv[0]}") from exc
     if timed_out:
         return False, "compiler timed out", out
-    return returncode == 0, _scrub(diag, jail), out
+    return returncode == 0, _scrub(diag.decode("utf-8", errors="replace"), jail), out
 
 
 def _input_file(jail: Path, data: bytes) -> BinaryIO:
@@ -275,21 +275,18 @@ def run_test(binary: Path, case: TestCase, config: ExecutorConfig,
              index: int = 0) -> TestResult:
     """Run one test with its input file as stdin and its output capped."""
     start = time.perf_counter()
-    with _input_file(binary.parent, case.input.encode()) as in_fh, \
-            tempfile.TemporaryFile(dir=binary.parent) as out_fh:
-        # one byte past the cap, so that the read below sees a flood
-        returncode, timed_out = _run_jailed(
-            [str(binary)], binary.parent, in_fh, out_fh, subprocess.DEVNULL,
-            config.timeout_s, fsize=config.max_output_bytes + 1)
-        elapsed = time.perf_counter() - start
-        out_fh.seek(0)
-        data = out_fh.read(config.max_output_bytes + 1)
-    truncated = len(data) > config.max_output_bytes
-    stdout = data[: config.max_output_bytes].decode("utf-8", errors="replace")
-    raw_match = not timed_out and stdout == case.expected
-    normalized_match = (
-        not timed_out and normalize_output(stdout) == normalize_output(case.expected)
-    )
+    cap = config.max_output_bytes
+    with _input_file(binary.parent, case.input.encode()) as in_fh:
+        # one byte past the cap, so that a flood shows
+        returncode, timed_out, data = _run_jailed(
+            [str(binary)], binary.parent, in_fh, config.timeout_s, cap + 1, fsize=cap + 1)
+    elapsed = time.perf_counter() - start
+    truncated = len(data) > cap
+    stdout = data[:cap].decode("utf-8", errors="replace")
+    # a cut output matches nothing: the part that went past the cap is unseen
+    complete = not timed_out and not truncated
+    raw_match = complete and stdout == case.expected
+    normalized_match = complete and normalize_output(stdout) == normalize_output(case.expected)
     return TestResult(
         index=index,
         stdout=stdout,

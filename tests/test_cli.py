@@ -325,8 +325,9 @@ def test_dataset_without_pairs_exits_2(tmp_path, capsys):
     assert "degenerate input" in err
 
 
-def test_dataset_counts_dropped_pairs(tmp_path, capsys):
-    # a rewrite that replaces the whole body blows past --max-led
+@pytest.fixture
+def mixed_archive(tmp_path):
+    """One repair pair, and one that rewrites the whole body past --max-led."""
     rewrite = "int main() {\n" + "\n".join(
         f"int q{i} = {i};" for i in range(40)) + "\nreturn 0;\n}\n"
     root = tmp_path / "mixed"
@@ -341,12 +342,30 @@ def test_dataset_counts_dropped_pairs(tmp_path, capsys):
         {"problem_id": "p3", "student_id": "s1", "timestamp": "2",
          "verdict": "OK", "code": rewrite},
     ])
+    return root
+
+
+def test_dataset_counts_dropped_pairs(mixed_archive, tmp_path, capsys):
     out_file = tmp_path / "corpus.jsonl"
     code, out, _ = run_cli(
-        ["dataset", str(root), "--out", str(out_file), "--json"], capsys)
+        ["dataset", str(mixed_archive), "--out", str(out_file), "--json"], capsys)
     assert code == 0
     assert json.loads(out)["dropped_restructuring"] == 1
     assert len(out_file.read_text().splitlines()) == 1
+
+
+def test_dataset_verbose_logs_each_dropped_pair(mixed_archive, tmp_path):
+    # in a fresh process, where main's logging set-up is the only one
+    argv = [sys.executable, "-m", "repairkit", "dataset", str(mixed_archive),
+            "--out", str(tmp_path / "corpus.jsonl")]
+    quiet = subprocess.run(argv, capture_output=True, text=True)
+    loud = subprocess.run(argv + ["-v"], capture_output=True, text=True)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stdout == loud.stdout
+    assert quiet.stderr == ""
+    [dropped] = loud.stderr.splitlines()
+    assert "dropping p3/s1/1:" in dropped
+    assert "restructuring rather than repair" in dropped
 
 
 @pytest.mark.parametrize("value", ["-1", "-10"])
@@ -783,21 +802,6 @@ def test_bench_unpaired_file_exits_1(tmp_path, capsys):
     assert "no matching" in err
 
 
-def test_bench_limit(bench_dir, capsys):
-    code, out, _ = run_cli(["bench", str(bench_dir), "--limit", "1", "--json"], capsys)
-    assert code == 0
-    assert len(json.loads(out)["programs"]) == 1
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_bench_limit_below_one_exits_2(bench_dir, capsys, value):
-    # --limit -1 used to slice off the last pair and --limit 0 to bench all
-    code, out, err = run_cli(["bench", str(bench_dir), "--limit", value, "--json"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "--limit: must be >= 1" in err
-
-
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_tokens_below_one_is_a_usage_error(pair_files, capsys, value):
     buggy, fixed = pair_files
@@ -808,14 +812,22 @@ def test_max_tokens_below_one_is_a_usage_error(pair_files, capsys, value):
     assert "--max-tokens: must be >= 1" in err
 
 
-# the first greedy bridge is fixed at 5 tokens, and the decoder checks the
-# backend on every pass, so neither option has anything left to set
+# the first greedy bridge is fixed at 5 tokens and the decoder checks the
+# backend on every pass; only dataset logs at INFO, triage uses no seed, and
+# bench decodes every pair; so none of these options has anything left to set
 @pytest.mark.parametrize("command, removed", [
     (["bench", "DIR", "--fallback-run", "5"], "--fallback-run"),
     (["bench", "DIR", "--probe"], "--probe"),
     (["repair", "DIR/p1.buggy.c", "--backend", "random", "--probe"], "--probe"),
-], ids=["bench-fallback-run", "bench-probe", "repair-probe"])
-def test_removed_decode_option_is_a_usage_error(bench_dir, capsys, command, removed):
+    (["mask", "DIR/p1.buggy.c", "DIR/p1.fixed.c", "-v"], "-v"),
+    (["triage", "DIR/p1.buggy.c", "-v"], "-v"),
+    (["repair", "DIR/p1.buggy.c", "--backend", "random", "-v"], "-v"),
+    (["bench", "DIR", "-v"], "-v"),
+    (["triage", "DIR/p1.buggy.c", "--seed", "3"], "--seed 3"),
+    (["bench", "DIR", "--limit", "1"], "--limit 1"),
+], ids=["bench-fallback-run", "bench-probe", "repair-probe", "mask-v", "triage-v",
+        "repair-v", "bench-v", "triage-seed", "bench-limit"])
+def test_removed_option_is_a_usage_error(bench_dir, capsys, command, removed):
     argv = [arg.replace("DIR", str(bench_dir)) for arg in command]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -830,15 +842,15 @@ def test_removed_decode_option_is_a_usage_error(bench_dir, capsys, command, remo
 # every option string of each subcommand; adding or removing one is an edit here
 _OPTIONS = {
     "mask": ["--aggregation", "--granularity", "--pair-id", "--problem-id",
-             "--sigma", "--strategy"],
-    "dataset": ["--aggregation", "--granularity", "--max-led", "--sigma",
-                "--stats", "--strategy"],
+             "--seed", "--sigma", "--strategy"],
+    "dataset": ["--aggregation", "--granularity", "--max-led", "--seed", "--sigma",
+                "--stats", "--strategy", "--verbose", "-v"],
     "triage": ["--config", "--meta", "--prompt"],
     "repair": ["--backend", "--bug-type", "--compare", "--max-tokens", "--mode",
-               "--target"],
-    "bench": ["--limit", "--max-tokens"],
+               "--seed", "--target"],
+    "bench": ["--max-tokens", "--seed"],
 }
-_COMMON_OPTIONS = ["--help", "--json", "--out", "--seed", "--verbose", "-h", "-v"]
+_EVERY_SUBCOMMAND = ["--help", "--json", "--out", "-h"]
 
 
 def test_each_subcommand_has_exactly_its_options():
@@ -848,8 +860,22 @@ def test_each_subcommand_has_exactly_its_options():
     got = {name: sorted(opt for action in sub._actions
                         for opt in action.option_strings)
            for name, sub in subparsers.choices.items()}
-    assert got == {name: sorted(opts + _COMMON_OPTIONS)
+    assert got == {name: sorted(opts + _EVERY_SUBCOMMAND)
                    for name, opts in _OPTIONS.items()}
+
+
+def test_readme_cli_lines_parse():
+    # a removed option cannot stay documented
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("repairkit ")]
+    assert len(lines) == 5
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README's CLI block does not parse: {line}")
 
 
 def test_unknown_command_exits_2(capsys):

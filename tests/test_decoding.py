@@ -114,6 +114,13 @@ def test_prefix_refuses_a_length_outside_its_buffer():
             Prefix(["a", "b"], n)
 
 
+def test_prefix_refuses_a_buffer_that_is_not_a_list():
+    # a backend compares the buffer's slices with its own lists
+    for buffer in (("a", "b"), "ab", Prefix(["a", "b"], 2)):
+        with pytest.raises(TypeError):
+            Prefix(buffer, 2)
+
+
 _SLICE_BOUND = st.one_of(st.none(), st.integers(-8, 8))
 
 
@@ -398,6 +405,43 @@ def test_stats_invariants_on_random_models(seed):
     assert s.tokens_emitted == len(fast.tokens)
     assert s.draft_accepted + s.corrections + s.ar_fallback_tokens == s.tokens_emitted
     assert s.forward_passes >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**48), st.sampled_from(["random", "oracle"]))
+def test_decode_is_lossless_under_any_draft(seed, kind):
+    # the accept, correct and consistency code must not lean on the drafts
+    # draft_generate makes: a stand-in offers random drafts of 0-20 tokens,
+    # EOS and boundaries included, and moves the anchor at random
+    rng = random.Random(seed)
+    words = [f"t{i}" for i in range(rng.randrange(1, 6))] + [";", "{", "}"]
+    vocab = words + [EOS]
+    buggy = [rng.choice(vocab) for _ in range(rng.randrange(0, 30))]
+    if kind == "oracle":
+        backend = make_repair_oracle(
+            buggy, [rng.choice(words) for _ in range(rng.randrange(0, 40))])
+        prompt = backend.prompt
+    else:
+        backend = SeededRandomBackend(rng.randrange(2**32), vocab)
+        prompt = repair_prompt(buggy)
+    limits = DecodeLimits(max_tokens=rng.randrange(1, 48))
+    offered = []
+
+    def hostile(source, emitted, anchor):
+        draft = [rng.choice(vocab) for _ in range(rng.randrange(0, 21))]
+        offered.append(draft)
+        return draft, rng.randrange(0, 40)
+
+    with mock.patch.object(decoding, "draft_generate", hostile):
+        fast = accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy), limits)
+    slow = ar_decode(backend, prompt, limits.max_tokens)
+    assert (fast.tokens, fast.truncated) == (slow.tokens, slow.truncated)
+    s = fast.stats
+    assert (s.tokens_emitted == s.draft_accepted + s.corrections + s.ar_fallback_tokens
+            == len(fast.tokens))
+    verify_passes = sum(map(bool, offered))
+    assert s.forward_passes == verify_passes + s.ar_fallback_tokens
+    assert 0 <= s.corrections <= verify_passes  # at most one per verify pass
 
 
 _ROOT = Path(__file__).resolve().parent.parent

@@ -135,6 +135,22 @@ def test_output_is_capped():
     assert classify(report) is BugType.SEMANTIC_ERROR
 
 
+def test_output_cut_at_the_cap_matches_nothing():
+    # five bytes against a cap of four: the kept "1234" equals the expected
+    # output, but the byte past the cap is unseen, so the test cannot pass
+    cap = ExecutorConfig(timeout_s=2.0, max_output_bytes=4)
+    tests = [TestCase("", "1234")]
+    printing = '#include <stdio.h>\nint main(void) { printf("%s", "OUT"); return 0; }\n'
+    report = triage_source(printing.replace("OUT", "1234j"), tests, cap)
+    res = report.results[0]
+    assert (res.stdout, res.truncated, res.returncode) == ("1234", True, 0)
+    assert not res.raw_match and not res.normalized_match
+    assert classify(report) is BugType.SEMANTIC_ERROR
+    report = triage_source(printing.replace("OUT", "1234"), tests, cap)
+    assert not report.results[0].truncated
+    assert classify(report) is None
+
+
 def test_missing_compiler_raises():
     config = ExecutorConfig(compiler_cmd="no-such-compiler-zz {src} -o {out}")
     with pytest.raises(RepairKitError):
