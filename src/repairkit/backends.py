@@ -10,12 +10,14 @@ pass returns a greedy prediction per position) without any neural model:
   of a stored prediction stream, so a greedy step costs O(1).
 * :class:`SeededRandomBackend` — adversarial hash-driven predictions; every
   prefix deterministically maps to an arbitrary next token.  Used to stress
-  losslessness.  A pass hashes only the positions the previous pass did not
-  share with it.
+  losslessness.  It hashes a ``Prefix`` once per buffer and answers it with
+  a ``Prefix`` of its stored predictions, so a greedy step hashes only its
+  new token; a list pass hashes only the positions the previous list pass
+  did not share with it.
 
 Both keep ``forward(tokens)`` a pure function of ``tokens``: what
 they cache changes the cost of a pass, never its result.  Both answer a
-list with a fresh list.
+list with a fresh list and a ``Prefix`` with a ``Prefix``.
 
 Tokens are plain strings so fixtures stay readable.
 """
@@ -23,7 +25,8 @@ Tokens are plain strings so fixtures stay readable.
 from __future__ import annotations
 
 import zlib
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .decoding import Prefix, longest_matching_prefix, repair_prompt
 from .errors import DegenerateInputError, RepairKitError
@@ -102,11 +105,20 @@ class SeededRandomBackend:
     Deterministic and causal by construction, but with no structure a draft
     could exploit — the hardest case for lossless acceleration.
 
-    The prefix hash is a polynomial rolling hash mod 2**64, so a pass only
-    hashes the positions past the longest prefix it shares with the previous
-    pass, the way a KV cache serves a decoder's growing or rolled-back
-    context.  That cache is a tuple swapped in whole, never a list mutated in
-    place, so threads sharing one instance each see a consistent entry.
+    The prefix hash is a polynomial rolling hash mod 2**64, so earlier
+    positions' hashes serve a longer context, the way a KV cache serves a
+    decoder's growing context.  Two caches keep that work:
+
+    * a :class:`~repairkit.decoding.Prefix` is hashed once per buffer: the
+      backend keeps the hashes and predictions of the last buffer it was
+      given as a ``Prefix``, hashes only the positions past them, and
+      answers with a ``Prefix`` of its grow-only predictions;
+    * a list pass hashes only the positions past the longest prefix it
+      shares with the previous list pass (a copy), and gets a fresh list.
+
+    Each cache is a tuple swapped in whole, never replaced piecemeal, so
+    threads sharing one instance each see a consistent entry as long as each
+    decodes in a buffer of its own, as the decoders do.
     """
 
     concurrent_safe = True
@@ -120,8 +132,11 @@ class SeededRandomBackend:
         self.vocab = vocab
         self._token_ids: dict[str, int] = {}
         self._seed64 = seed & _MASK64
-        # the last pass: (tokens, prefix hashes, predictions)
+        # the last list pass: (tokens, prefix hashes, predictions)
         self._last: tuple[list[str], list[int], list[str]] = ([], [], [])
+        # the last Prefix buffer, held so its id stays its own, with the
+        # hashes and predictions of its first len(hashes) positions
+        self._view: tuple[list | None, list[int], list[str]] = (None, [], [])
 
     def _token_id(self, token: str) -> int:
         tid = self._token_ids.get(token)
@@ -130,12 +145,34 @@ class SeededRandomBackend:
             self._token_ids[token] = tid
         return tid
 
-    def forward(self, tokens: Sequence[str]) -> list[str]:
-        # a copy: the cache must not see the caller's later appends
+    def _hash(self, tokens: Iterable[str], hashes: list[int], preds: list[str]) -> None:
+        """Append the hash and prediction of each of ``tokens`` in turn to
+        those of the prefix before them, ``hashes`` and ``preds``."""
+        h = hashes[-1] if hashes else 0
+        seed, vocab, size = self._seed64, self.vocab, len(self.vocab)
+        token_id = self._token_id
+        for tok in tokens:
+            # h_i = h_(i-1) * MULT + id_i + seed, then a murmur-style mix
+            h = (h * _HASH_MULT + token_id(tok) + seed) & _MASK64
+            x = h ^ (h >> 33)
+            x = (x * _MIX_MULT) & _MASK64
+            x ^= x >> 29
+            hashes.append(h)
+            preds.append(vocab[x % size])
+
+    def forward(self, tokens: Sequence[str]) -> Sequence[str]:
         if isinstance(tokens, Prefix):
-            tokens = tokens.buffer[:tokens.n]
-        else:
-            tokens = list(tokens)
+            buffer, n = tokens.buffer, tokens.n
+            view = self._view
+            if view[0] is not buffer:
+                view = self._view = (buffer, [], [])
+            _, hashes, preds = view
+            k = len(hashes)
+            if k < n:
+                self._hash(islice(buffer, k, n), hashes, preds)
+            return Prefix(preds, n)
+        # a copy: the cache must not see the caller's later appends
+        tokens = list(tokens)
         last_tokens, last_hashes, last_preds = self._last
         m = len(last_tokens)
         if m <= len(tokens) and tokens[:m] == last_tokens:
@@ -144,17 +181,7 @@ class SeededRandomBackend:
             k = longest_matching_prefix(last_tokens, tokens)
         hashes = last_hashes[:k]
         preds = last_preds[:k]
-        h = hashes[-1] if k else 0
-        seed, vocab, size = self._seed64, self.vocab, len(self.vocab)
-        token_id = self._token_id
-        for tok in tokens[k:]:
-            # h_i = h_(i-1) * MULT + id_i + seed, then a murmur-style mix
-            h = (h * _HASH_MULT + token_id(tok) + seed) & _MASK64
-            x = h ^ (h >> 33)
-            x = (x * _MIX_MULT) & _MASK64
-            x ^= x >> 29
-            hashes.append(h)
-            preds.append(vocab[x % size])
+        self._hash(tokens[k:], hashes, preds)
         self._last = (tokens, hashes, preds)
         return preds[:]
 

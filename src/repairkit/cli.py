@@ -434,11 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # installs the handler once per process; the level is this call's
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    log.setLevel(logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
     try:
         return args.func(args)
     except DegenerateInputError as exc:

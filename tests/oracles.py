@@ -197,8 +197,10 @@ def deletion_anchors_ref(pairs) -> dict[int, tuple[int, ...]]:
 def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[str]:
     """``SeededRandomBackend.forward`` as a scalar Horner loop over the prefix.
 
-    Every call hashes the whole context from scratch; the library hashes
-    only the positions past the prefix it shares with its previous pass.
+    Every call hashes the whole context from scratch.  The library keeps
+    two caches: a ``Prefix`` pass hashes only the positions of its buffer
+    past those it has hashed before, and a list pass only the positions
+    past the prefix it shares with the previous list pass.
     ``vocab`` must include EOS.
     """
     mask = (1 << 64) - 1

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import repairkit
 from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
-from repairkit.decoding import Prefix, ar_decode
+from repairkit.decoding import (DecodeLimits, DraftSource, Prefix,
+                                accelerated_decode, ar_decode)
 from repairkit.errors import RepairKitError
 
 from oracles import oracle_forward_ref, seeded_random_ref
@@ -159,7 +160,7 @@ def test_prefix_passes_match_list_passes(prompt, target, keep, appends, seed):
             assert _outcome(lambda t: list(oracle.forward(t)), Prefix(buf, n)) == want
             want = seeded_random_ref(seed, vocab, buf[:n])
             assert rand.forward(buf[:n]) == want
-            assert rand.forward(Prefix(buf, n)) == want
+            assert list(rand.forward(Prefix(buf, n))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +247,73 @@ def test_seeded_backend_cache_follows_a_decoding_walk(seed, start, steps):
         assert backend.forward(ctx) == seeded_random_ref(seed, vocab, ctx)
 
 
+# EOS is one token in 50 001, so random outputs run to their token cap
+_BIG_VOCAB = [f"w{i}" for i in range(50_000)]
+
+
+def _count_hashes(backend: SeededRandomBackend) -> list[str]:
+    """The tokens ``backend`` hashes from now on, one entry per position."""
+    hashed: list[str] = []
+    token_id = backend._token_id
+
+    def counted(tok: str) -> int:
+        hashed.append(tok)
+        return token_id(tok)
+
+    backend._token_id = counted
+    return hashed
+
+
+@pytest.mark.parametrize("n_prompt,cap", [(1, 1), (1, 30), (62, 256)])
+def test_random_greedy_decode_hashes_each_position_once(n_prompt, cap):
+    backend = SeededRandomBackend(3, _BIG_VOCAB)
+    hashed = _count_hashes(backend)
+    answers = []
+    forward = backend.forward
+    backend.forward = lambda toks: answers.append(forward(toks)) or answers[-1]
+    prompt = ["<fix>"] + _BIG_VOCAB[:n_prompt - 1]
+    result = ar_decode(backend, prompt, cap)
+    assert len(result.tokens) == cap
+    # P + T - 1 positions for T tokens from a prompt of P, not one pass's
+    # context per pass; every answer is a view of one grow-only list
+    assert len(hashed) == n_prompt + cap - 1
+    assert all(isinstance(a, Prefix) for a in answers)
+    assert len({id(a.buffer) for a in answers}) == 1
+
+
+@pytest.mark.parametrize("draft_kind", ["useless", "mostly right"])
+def test_random_accelerated_decode_hashes_each_greedy_position_once(draft_kind):
+    prompt = ["<fix>"] + _BIG_VOCAB[:40] + ["<sep>"]
+    want = ar_decode(SeededRandomBackend(8, _BIG_VOCAB), prompt, 200).tokens
+    if draft_kind == "useless":
+        draft = _BIG_VOCAB[:40]
+    else:
+        draft = [";" if i % 9 == 8 else tok for i, tok in enumerate(want)]
+    backend = SeededRandomBackend(8, _BIG_VOCAB)
+    hashed = _count_hashes(backend)
+    greedy = []  # (context length, positions hashed) per Prefix pass
+    forward = backend.forward
+
+    def counted_forward(toks):
+        before = len(hashed)
+        preds = forward(toks)
+        if isinstance(toks, Prefix):
+            greedy.append((len(toks), len(hashed) - before))
+        return preds
+
+    backend.forward = counted_forward
+    result = accelerated_decode(backend, prompt, DraftSource.from_tokens(draft),
+                                DecodeLimits(max_tokens=200))
+    assert result.tokens == want
+    assert result.stats.ar_fallback_tokens == len(greedy) > 1
+    # a greedy pass hashes only the positions past the previous one's: one
+    # per greedy step, plus whatever verify passes accepted in between
+    lengths = [0] + [n for n, _ in greedy]
+    hashes = [h for _, h in greedy]
+    assert hashes == [b - a for a, b in zip(lengths, lengths[1:])]
+    assert 1 in hashes[1:]
+
+
 @pytest.mark.parametrize("make", [
     lambda: make_repair_oracle(["a", ";"], ["b", ";"]),
     lambda: SeededRandomBackend(4, ["a", "b", ";"]),
@@ -317,6 +385,50 @@ def test_oracle_shared_by_threads_decodes_as_a_serial_run():
             for i in range(_THREAD_DECODES):
                 cap = (40, 200)[(t + i) % 2]
                 if ar_decode(backend, prompt, cap).tokens != want[(t + i) % 2]:
+                    errors.append((t, i))
+                runs.append(t)
+        except Exception as exc:  # reported below with the thread that raised it
+            errors.append((t, exc))
+
+    threads = [threading.Thread(target=decode, args=(t,)) for t in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(runs) == 4 * _THREAD_DECODES
+
+
+def test_random_shared_by_threads_decodes_as_a_serial_run():
+    # each thread decodes in its own buffers, so the threads keep replacing
+    # the backend's Prefix slot and its list pass cache
+    prompt = ["<fix>"] + [f"w{i % 7}" for i in range(60)] + ["<sep>"]
+    serial = SeededRandomBackend(6, _BIG_VOCAB)
+    greedy = ar_decode(serial, prompt, 200).tokens
+    # a draft that is right but for every ninth token, so verify passes accept
+    source = DraftSource.from_tokens(
+        [";" if i % 9 == 8 else tok for i, tok in enumerate(greedy)])
+    caps = (40, 200)
+    want = [(ar_decode(serial, prompt, cap),
+             accelerated_decode(serial, prompt, source, DecodeLimits(max_tokens=cap)))
+            for cap in caps]
+    backend = SeededRandomBackend(6, _BIG_VOCAB)
+    runs, errors = [], []
+
+    def decode(t: int) -> None:
+        try:
+            for i in range(_THREAD_DECODES):
+                cap = caps[(t + i) % 2]
+                got = (ar_decode(backend, prompt, cap),
+                       accelerated_decode(backend, prompt, source,
+                                          DecodeLimits(max_tokens=cap)))
+                if got != want[(t + i) % 2]:
                     errors.append((t, i))
                 runs.append(t)
         except Exception as exc:  # reported below with the thread that raised it

@@ -368,6 +368,29 @@ def test_dataset_verbose_logs_each_dropped_pair(mixed_archive, tmp_path):
     assert "restructuring rather than repair" in dropped
 
 
+def test_verbose_counts_for_each_call_in_one_process(mixed_archive, tmp_path):
+    # a quiet call, a verbose one, then a quiet one, as a process calling
+    # main repeatedly makes them: only the middle one logs the dropped pair
+    script = (
+        "import sys\n"
+        "from repairkit import cli\n"
+        "argv = ['dataset', sys.argv[1], '--out', sys.argv[2]]\n"
+        "for extra in ([], ['-v'], []):\n"
+        "    print('call', extra, file=sys.stderr, flush=True)\n"
+        "    assert cli.main(argv + extra) == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(mixed_archive),
+                           str(tmp_path / "corpus.jsonl")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    calls = proc.stderr.split("call ")[1:]
+    assert calls[0] == "[]\n" and calls[2] == "[]\n"
+    head, dropped = calls[1].splitlines()
+    assert head == "['-v']"
+    assert "dropping p3/s1/1:" in dropped
+    assert "restructuring rather than repair" in dropped
+
+
 @pytest.mark.parametrize("value", ["-1", "-10"])
 def test_negative_max_led_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setattr(cli, "load_archive", lambda *a: pytest.fail("archive read"))
