@@ -10,10 +10,11 @@ pass returns a greedy prediction per position) without any neural model:
   of a stored prediction stream, so a greedy step costs O(1).
 * :class:`SeededRandomBackend` — adversarial hash-driven predictions; every
   prefix deterministically maps to an arbitrary next token.  Used to stress
-  losslessness.  It hashes a ``Prefix`` once per buffer and answers it with
+  losslessness.  It keeps one cache, for the last buffer it was given as a
+  ``Prefix``: it hashes each position of that buffer once and answers with
   a ``Prefix`` of its stored predictions, so a greedy step hashes only its
-  new token; a list pass hashes only the positions the previous list pass
-  did not share with it.
+  new token.  A list pass reads that cache and never writes it: when the
+  list starts with the positions the cache covers it hashes only the rest.
 
 Both keep ``forward(tokens)`` a pure function of ``tokens``: what
 they cache changes the cost of a pass, never its result.  Both answer a
@@ -28,7 +29,7 @@ import zlib
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .decoding import Prefix, longest_matching_prefix, repair_prompt
+from .decoding import Prefix, repair_prompt
 from .errors import DegenerateInputError, RepairKitError
 
 __all__ = [
@@ -107,18 +108,22 @@ class SeededRandomBackend:
 
     The prefix hash is a polynomial rolling hash mod 2**64, so earlier
     positions' hashes serve a longer context, the way a KV cache serves a
-    decoder's growing context.  Two caches keep that work:
+    decoder's growing context.  One slot caches the hashes and predictions
+    of the last buffer given as a :class:`~repairkit.decoding.Prefix`:
 
-    * a :class:`~repairkit.decoding.Prefix` is hashed once per buffer: the
-      backend keeps the hashes and predictions of the last buffer it was
-      given as a ``Prefix``, hashes only the positions past them, and
-      answers with a ``Prefix`` of its grow-only predictions;
-    * a list pass hashes only the positions past the longest prefix it
-      shares with the previous list pass (a copy), and gets a fresh list.
+    * a ``Prefix`` of that buffer hashes only the positions past the slot's,
+      appending in place, and is answered with a ``Prefix`` of the grow-only
+      predictions; a ``Prefix`` of another buffer swaps in a fresh slot;
+    * a list reads the slot and never writes it, as a verify pass reads the
+      cache of the accepted context without committing its draft: if it
+      starts with the slot's ``k`` positions, only the rest is hashed, into
+      a copy, and it gets a fresh list; otherwise it is hashed from 0.
 
-    Each cache is a tuple swapped in whole, never replaced piecemeal, so
-    threads sharing one instance each see a consistent entry as long as each
-    decodes in a buffer of its own, as the decoders do.
+    The slot is a tuple swapped in whole, and the predictions grow after the
+    hashes, so a list that takes ``k`` from the predictions finds ``k``
+    hashes even while another thread grows the slot.  Threads may share one
+    instance as long as each decodes in a buffer of its own, as the
+    decoders do.
     """
 
     concurrent_safe = True
@@ -132,11 +137,9 @@ class SeededRandomBackend:
         self.vocab = vocab
         self._token_ids: dict[str, int] = {}
         self._seed64 = seed & _MASK64
-        # the last list pass: (tokens, prefix hashes, predictions)
-        self._last: tuple[list[str], list[int], list[str]] = ([], [], [])
         # the last Prefix buffer, held so its id stays its own, with the
         # hashes and predictions of its first len(hashes) positions
-        self._view: tuple[list | None, list[int], list[str]] = (None, [], [])
+        self._view: tuple[list, list[int], list[str]] = ([], [], [])
 
     def _token_id(self, token: str) -> int:
         tid = self._token_ids.get(token)
@@ -161,29 +164,22 @@ class SeededRandomBackend:
             preds.append(vocab[x % size])
 
     def forward(self, tokens: Sequence[str]) -> Sequence[str]:
+        buffer, hashes, preds = self._view
         if isinstance(tokens, Prefix):
-            buffer, n = tokens.buffer, tokens.n
-            view = self._view
-            if view[0] is not buffer:
-                view = self._view = (buffer, [], [])
-            _, hashes, preds = view
+            n = tokens.n
+            if buffer is not tokens.buffer:
+                buffer, hashes, preds = self._view = (tokens.buffer, [], [])
             k = len(hashes)
             if k < n:
                 self._hash(islice(buffer, k, n), hashes, preds)
             return Prefix(preds, n)
-        # a copy: the cache must not see the caller's later appends
-        tokens = list(tokens)
-        last_tokens, last_hashes, last_preds = self._last
-        m = len(last_tokens)
-        if m <= len(tokens) and tokens[:m] == last_tokens:
-            k = m
-        else:
-            k = longest_matching_prefix(last_tokens, tokens)
-        hashes = last_hashes[:k]
-        preds = last_preds[:k]
-        self._hash(tokens[k:], hashes, preds)
-        self._last = (tokens, hashes, preds)
-        return preds[:]
+        # k from preds, which grows after hashes: hashes[k - 1] exists
+        k = min(len(preds), len(tokens))
+        if tokens[:k] != buffer[:k]:
+            k = 0
+        out = preds[:k]
+        self._hash(islice(tokens, k, None), hashes[k - 1:k], out)
+        return out
 
 
 def make_repair_oracle(buggy: Sequence[str], fixed: Sequence[str],

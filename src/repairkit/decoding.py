@@ -25,7 +25,10 @@ buffer, which only ever grows: the entries a ``Prefix`` covers never change
 afterwards, so a backend may check or hash a buffer once and reuse that work
 for every later ``Prefix`` of it.  Given a ``Prefix``, a backend may answer
 with a ``Prefix`` of its own grow-only buffer; the decoders only read a
-pass's result.  Verify passes hand a fresh list.
+pass's result.  Verify passes hand a fresh list, the context followed by a
+draft; a backend may serve a list from its per-buffer cache when the list's
+head matches that buffer, as a KV cache serves a draft appended to the
+accepted context.
 """
 
 from __future__ import annotations
@@ -103,7 +106,9 @@ class ModelBackend(Protocol):
 
     ``forward`` may be given a :class:`Prefix` of a grow-only buffer, and
     may then cache work per buffer and answer with a ``Prefix`` of a
-    grow-only buffer of its own.  Callers only read the result.
+    grow-only buffer of its own.  It may serve a list from that per-buffer
+    cache when the list's head matches the buffer.  Callers only read the
+    result.
     """
 
     eos_token: str
@@ -234,8 +239,7 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
     """Plain greedy decoding: one forward pass per emitted token."""
     if not prompt:
         raise DegenerateInputError("prompt is empty")
-    if max_tokens < 1:
-        raise ValueError("max_tokens must be >= 1")
+    DecodeLimits(max_tokens)  # checks the cap
     eos = model.eos_token
     ctx = list(prompt)  # grows only, so each pass may see a Prefix of it
     out: list[str] = []

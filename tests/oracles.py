@@ -198,9 +198,10 @@ def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[st
     """``SeededRandomBackend.forward`` as a scalar Horner loop over the prefix.
 
     Every call hashes the whole context from scratch.  The library keeps
-    two caches: a ``Prefix`` pass hashes only the positions of its buffer
-    past those it has hashed before, and a list pass only the positions
-    past the prefix it shares with the previous list pass.
+    one cache, for the last buffer it was given as a ``Prefix``: a
+    ``Prefix`` pass hashes only the positions of its buffer past those it
+    has hashed before, and a list that starts with the cached positions
+    hashes only the rest, without writing the cache.
     ``vocab`` must include EOS.
     """
     mask = (1 << 64) - 1

@@ -218,7 +218,8 @@ def test_seeded_backend_keeps_an_iterator_vocab_in_order():
 
 
 _WALK_VOCAB = ["a", "b", "c", ";", "{", "}"]
-_WALK_STEP = st.tuples(st.sampled_from(["one", "draft", "truncate", "branch"]),
+_WALK_STEP = st.tuples(st.sampled_from(["one", "draft", "truncate", "branch",
+                                        "grow", "off"]),
                        st.integers(0, 1 << 20),
                        st.lists(st.sampled_from(_WALK_VOCAB), max_size=8))
 
@@ -229,12 +230,26 @@ _WALK_STEP = st.tuples(st.sampled_from(["one", "draft", "truncate", "branch"]),
        st.lists(_WALK_STEP, max_size=25))
 def test_seeded_backend_cache_follows_a_decoding_walk(seed, start, steps):
     # one context list, changed in place between passes as the decoders do:
-    # grow by a token, grow by a draft, drop a rejected tail, or branch
+    # grow by a token, grow by a draft, drop a rejected tail, or branch;
+    # and one grow-only buffer read as a Prefix, with lists that branch off
+    # it: shorter than the cached positions, diverging inside them, or
+    # running past them
     backend = SeededRandomBackend(seed, _WALK_VOCAB)
     vocab = list(backend.vocab)
     ctx = list(start)
+    buf = list(start)
     assert backend.forward(ctx) == seeded_random_ref(seed, vocab, ctx)
     for op, r, toks in steps:
+        if op == "grow":
+            buf += toks
+            n = r % (len(buf) + 1)
+            got = backend.forward(Prefix(buf, n))
+            assert list(got) == seeded_random_ref(seed, vocab, buf[:n])
+            continue
+        if op == "off":
+            off = buf[:r % (len(buf) + 1)] + toks
+            assert backend.forward(off) == seeded_random_ref(seed, vocab, off)
+            continue
         if op == "one":
             ctx.append(toks[0] if toks else "a")
         elif op == "draft":
@@ -281,6 +296,25 @@ def test_random_greedy_decode_hashes_each_position_once(n_prompt, cap):
     assert len({id(a.buffer) for a in answers}) == 1
 
 
+def test_list_passes_read_the_prefix_cache_and_never_write_it():
+    backend = SeededRandomBackend(2, _BIG_VOCAB)
+    vocab = list(backend.vocab)
+    buf = ["<fix>"] + _BIG_VOCAB[:30] + ["<sep>"]
+    draft = _BIG_VOCAB[100:112]
+    backend.forward(Prefix(buf, len(buf)))
+    hashed = _count_hashes(backend)
+    # a verify pass: the cached buffer plus a draft hashes only the draft
+    inp = buf + draft
+    assert backend.forward(inp) == seeded_random_ref(2, vocab, inp)
+    assert len(hashed) == len(draft)
+    # the draft was not committed: the buffer grown by one hashes one
+    del hashed[:]
+    buf.append("w7")
+    got = backend.forward(Prefix(buf, len(buf)))
+    assert list(got) == seeded_random_ref(2, vocab, buf)
+    assert len(hashed) == 1
+
+
 @pytest.mark.parametrize("draft_kind", ["useless", "mostly right"])
 def test_random_accelerated_decode_hashes_each_greedy_position_once(draft_kind):
     prompt = ["<fix>"] + _BIG_VOCAB[:40] + ["<sep>"]
@@ -292,6 +326,7 @@ def test_random_accelerated_decode_hashes_each_greedy_position_once(draft_kind):
     backend = SeededRandomBackend(8, _BIG_VOCAB)
     hashed = _count_hashes(backend)
     greedy = []  # (context length, positions hashed) per Prefix pass
+    verify = []  # (positions hashed, length past the last Prefix) per list pass
     forward = backend.forward
 
     def counted_forward(toks):
@@ -299,6 +334,9 @@ def test_random_accelerated_decode_hashes_each_greedy_position_once(draft_kind):
         preds = forward(toks)
         if isinstance(toks, Prefix):
             greedy.append((len(toks), len(hashed) - before))
+        else:
+            cached = greedy[-1][0] if greedy else 0
+            verify.append((len(hashed) - before, len(toks) - cached))
         return preds
 
     backend.forward = counted_forward
@@ -312,6 +350,9 @@ def test_random_accelerated_decode_hashes_each_greedy_position_once(draft_kind):
     hashes = [h for _, h in greedy]
     assert hashes == [b - a for a, b in zip(lengths, lengths[1:])]
     assert 1 in hashes[1:]
+    # a verify pass hashes only its positions past the last greedy pass's
+    # buffer, and the first, before any greedy pass, hashes them all
+    assert verify and all(h == past for h, past in verify)
 
 
 @pytest.mark.parametrize("make", [
@@ -407,7 +448,7 @@ def test_oracle_shared_by_threads_decodes_as_a_serial_run():
 
 def test_random_shared_by_threads_decodes_as_a_serial_run():
     # each thread decodes in its own buffers, so the threads keep replacing
-    # the backend's Prefix slot and its list pass cache
+    # the backend's Prefix slot while other threads' list passes read it
     prompt = ["<fix>"] + [f"w{i % 7}" for i in range(60)] + ["<sep>"]
     serial = SeededRandomBackend(6, _BIG_VOCAB)
     greedy = ar_decode(serial, prompt, 200).tokens

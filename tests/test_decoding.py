@@ -797,6 +797,13 @@ def test_decode_limits_validation():
         DecodeLimits(max_tokens=0)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_ar_decode_rejects_a_cap_below_one(cap):
+    backend = SeededRandomBackend(1, ["a", "b", ";"])
+    with pytest.raises(ValueError, match="max_tokens must be >= 1"):
+        ar_decode(backend, ["a", "b"], max_tokens=cap)
+
+
 @pytest.mark.parametrize("config, change, message", [
     (MaskConfig(), {"sigma": 2.0}, r"sigma must be in \(0, 1\]"),
     (DecodeLimits(), {"max_tokens": 0}, "max_tokens must be >= 1"),
