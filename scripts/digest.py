@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per seed over what repairkit writes for one artifact.
 
-    PYTHONPATH=src python3 scripts/digest.py {corpus,triage,decode} [--seeds N]
+    PYTHONPATH=src python3 scripts/digest.py {corpus,triage,decode,mask} [--seeds N]
 
 For each seed S in 1..N the script builds inputs with perfbench's generator
 ``gen`` (imported without writing to ``perfbench/``) and runs repairkit on
@@ -33,8 +33,16 @@ decode (4 seeds), with the first 12 repair pairs of
     repairkit repair NN.buggy.c --backend oracle --target NN.fixed.c --compare --json
     repairkit repair NN.buggy.c --backend random --seed S --max-tokens 256 --compare --json
 
-triage and decode hash each run's exit code and stdout (bug types, verdicts,
-diagnostics, prompts; decoded tokens, stats, metrics, bench reports).
+mask (4 seeds), on the same 12 pairs, runs for each pair, each strategy
+STRAT in M1..M4 and each option set OPTS in ``MASK_OPTIONS`` (none,
+``--granularity token``, ``--aggregation cap``, and both):
+
+    repairkit mask NN.buggy.c NN.fixed.c --strategy STRAT --seed S OPTS
+    repairkit mask NN.buggy.c NN.fixed.c --strategy STRAT --seed S OPTS --json
+
+triage, decode and mask hash each run's exit code and stdout (bug types,
+verdicts, diagnostics, prompts; decoded tokens, stats, metrics, bench
+reports; mask tables with each statement's role, and mask records).
 """
 
 from __future__ import annotations
@@ -58,6 +66,12 @@ VARIANTS = (
     ["--strategy", "M2"],
     ["--strategy", "M3"],
     ["--granularity", "token", "--aggregation", "floor"],
+    ["--granularity", "token", "--aggregation", "cap"],
+)
+MASK_OPTIONS = (
+    [],
+    ["--granularity", "token"],
+    ["--aggregation", "cap"],
     ["--granularity", "token", "--aggregation", "cap"],
 )
 
@@ -95,23 +109,43 @@ def triage(gen, seed: int) -> Iterator[bytes]:
                     "--config", "executor.cfg", "--json", "--prompt"])
 
 
-def decode(gen, seed: int) -> Iterator[bytes]:
+def _write_pairs(gen, seed: int) -> list[tuple[str, str]]:
+    """The first 12 repair pairs of a multi-function archive, as files in
+    ``pairs/``; their (buggy, fixed) paths."""
     pairs = list(gen.make_archive(seed, 10_000, 3, funcs=3).repairs.values())[:12]
     Path("pairs").mkdir()
+    paths = []
     for i, (buggy, fixed) in enumerate(pairs):
-        Path(f"pairs/{i:02d}.buggy.c").write_text(buggy)
-        Path(f"pairs/{i:02d}.fixed.c").write_text(fixed)
+        buggy_path, fixed_path = f"pairs/{i:02d}.buggy.c", f"pairs/{i:02d}.fixed.c"
+        Path(buggy_path).write_text(buggy)
+        Path(fixed_path).write_text(fixed)
+        paths.append((buggy_path, fixed_path))
+    return paths
+
+
+def decode(gen, seed: int) -> Iterator[bytes]:
+    paths = _write_pairs(gen, seed)
     yield _run(["bench", "pairs", "--json"])
-    for i in range(len(pairs)):
-        buggy, fixed = f"pairs/{i:02d}.buggy.c", f"pairs/{i:02d}.fixed.c"
+    for buggy, fixed in paths:
         yield _run(["repair", buggy, "--backend", "oracle", "--target", fixed,
                     "--compare", "--json"])
         yield _run(["repair", buggy, "--backend", "random", "--seed", str(seed),
                     "--max-tokens", "256", "--compare", "--json"])
 
 
+def mask(gen, seed: int) -> Iterator[bytes]:
+    for buggy, fixed in _write_pairs(gen, seed):
+        for strategy in ("M1", "M2", "M3", "M4"):
+            for options in MASK_OPTIONS:
+                argv = ["mask", buggy, fixed, "--strategy", strategy,
+                        "--seed", str(seed), *options]
+                yield _run(argv)
+                yield _run([*argv, "--json"])
+
+
 # artifact name -> (what to run and hash for one seed, default seed count)
-ARTIFACTS = {"corpus": (corpus, 16), "triage": (triage, 2), "decode": (decode, 4)}
+ARTIFACTS = {"corpus": (corpus, 16), "triage": (triage, 2), "decode": (decode, 4),
+             "mask": (mask, 4)}
 
 
 def seed_digest(artifact, gen, seed: int) -> str:
@@ -145,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("artifact", choices=ARTIFACTS)
     ap.add_argument("--seeds", type=int,
-                    help="digest seeds 1..N (default: corpus 16, triage 2, decode 4)")
+                    help="digest seeds 1..N (default: corpus 16, triage 2, "
+                         "decode 4, mask 4)")
     args = ap.parse_args(argv)
     if args.seeds is not None and args.seeds < 1:
         ap.error("--seeds must be >= 1")

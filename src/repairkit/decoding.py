@@ -80,6 +80,8 @@ class Prefix:
         # a backend slices the buffer and compares the slice with its own lists
         if not isinstance(buffer, list):
             raise TypeError(f"a Prefix views a list, not a {type(buffer).__name__}")
+        if not isinstance(n, int):
+            raise TypeError(f"a Prefix length is an int, not a {type(n).__name__}")
         if not 0 <= n <= len(buffer):
             raise ValueError(f"a prefix of {n} entries of a buffer of {len(buffer)}")
         self.buffer = buffer

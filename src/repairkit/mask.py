@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 from .diffs import AlignedDiff, align_statements, levenshtein
 from .errors import Checked, DegenerateInputError
-from .source import SourceUnit, extract_facts, parse, same_block_statements
+from .source import SourceUnit, extract_facts, parse
 from .source import _TOKEN_RE  # reuse the lexer for token-granular distances
 
 __all__ = [
@@ -134,14 +134,17 @@ def _modification_sources(diff: AlignedDiff) -> list[str]:
 def expansion_members(diff: AlignedDiff) -> set[int]:
     """Fixed-side statements the mask expands onto (step 2 membership).
 
-    The facts are those of ``diff.fixed``, extracted only when the fix
-    modified a statement: a deletion alone adds just its anchor.
+    Each deletion's anchor, and for the modified statements, the statements
+    that assign their variables, the definitions of the functions they call
+    and every statement of their blocks; the modified statements themselves
+    are left out.  Facts come from ``diff.fixed``, and only when the fix
+    modified a statement.
     """
-    unit = diff.fixed
+    stmts = diff.fixed.statements
     touched = set(diff.modified)
     members = set(diff.deletion_anchors)
     if touched:
-        facts = extract_facts(unit)
+        facts = extract_facts(diff.fixed)
         for idx in touched:
             for var in facts.variables_by_statement[idx]:
                 members |= facts.assignments.get(var, frozenset())
@@ -149,8 +152,8 @@ def expansion_members(diff: AlignedDiff) -> set[int]:
                 if fn in facts.definitions:
                     lo, hi = facts.definitions[fn]
                     members.update(range(lo, hi + 1))
-            members.update(s.index for s in
-                           same_block_statements(unit, unit.statements[idx]))
+        blocks = {stmts[idx].block_id for idx in touched}
+        members.update(s.index for s in stmts if s.block_id in blocks)
     return members - touched
 
 
@@ -170,53 +173,46 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
         fixed = parse(fixed)
 
     diff = align_statements(buggy, fixed)
-    n = len(fixed.statements)
 
     flags: list[str] = []
     if buggy.degraded or fixed.degraded:
         flags.append("degraded_parse")
     if diff.identical:
         flags.append("no_modification")
-    if n == 0:
+    if not fixed.statements:
         flags.append("no_fixed_statements")
-
-    raw = [0.0] * n
-    roles = ["zero"] * n
-
-    for idx in diff.modified:
-        raw[idx] = 1.0
-        roles[idx] = "modified"
 
     sources = _modification_sources(diff)
     expand, pad = STRATEGIES[cfg.strategy]
     expand = expand and bool(sources)
+    modified = set(diff.modified)
+    members = expansion_members(diff) if expand else set()
 
-    if expand:
-        for idx in expansion_members(diff):
-            raw[idx] = expansion_weight(fixed.statements[idx].normalized, sources, cfg)
-            roles[idx] = "expanded"
-
-    if pad:
-        for idx in range(n):
-            if roles[idx] == "zero":
-                raw[idx] = _padding_value(cfg.rng_seed, idx, cfg.sigma)
-                roles[idx] = "padding"
-    elif expand:
-        for idx in range(n):
-            if roles[idx] == "zero":
-                raw[idx] = _relatedness(fixed.statements[idx].normalized, sources, cfg)
-                roles[idx] = "relatedness"
+    # each statement's role, in order of precedence, and its raw weight
+    raw: list[float] = []
+    roles: list[str] = []
+    for idx, stmt in enumerate(fixed.statements):
+        if idx in modified:
+            role, weight = "modified", 1.0
+        elif idx in members:
+            role, weight = "expanded", expansion_weight(stmt.normalized, sources, cfg)
+        elif pad:
+            role, weight = "padding", _padding_value(cfg.rng_seed, idx, cfg.sigma)
+        elif expand:
+            role, weight = "relatedness", _relatedness(stmt.normalized, sources, cfg)
+        else:
+            role, weight = "zero", 0.0
+        roles.append(role)
+        raw.append(weight)
 
     total = sum(raw)
+    normalized: tuple[float, ...] | None = None
+    token_k: tuple[float, ...] | None = None
     if total > 0.0:
-        normalized: tuple[float, ...] | None = tuple(w / total for w in raw)
-    else:
-        normalized = None
-        flags.append("degenerate")
-
-    token_k = None
-    if normalized is not None:
+        normalized = tuple(w / total for w in raw)
         token_k = broadcast_to_tokens(normalized, fixed)
+    else:
+        flags.append("degenerate")
 
     return MaskVector(
         strategy=cfg.strategy,
@@ -241,17 +237,14 @@ def broadcast_to_tokens(k: Sequence[float], fixed: SourceUnit) -> tuple[float, .
             f"mask length {len(k)} != statement count {len(fixed.statements)}"
         )
 
+    # a token has no statement exactly when it is a comment
     counts: dict[int, int] = {}
     for tok in fixed.tokens:
-        if not tok.is_comment and tok.statement is not None:
+        if tok.statement is not None:
             counts[tok.statement] = counts.get(tok.statement, 0) + 1
 
-    weights: list[float] = []
-    for tok in fixed.tokens:
-        if tok.is_comment or tok.statement is None:
-            weights.append(PADDING_FLOOR)
-        else:
-            weights.append(k[tok.statement] / counts[tok.statement])
+    weights = [PADDING_FLOOR if tok.statement is None
+               else k[tok.statement] / counts[tok.statement] for tok in fixed.tokens]
     total = sum(weights)
     if total <= 0.0:
         return tuple(weights)

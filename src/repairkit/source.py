@@ -31,7 +31,6 @@ __all__ = [
     "CodeFacts",
     "parse",
     "extract_facts",
-    "same_block_statements",
 ]
 
 ROOT_BLOCK = 0
@@ -141,8 +140,9 @@ class SourceUnit(NamedTuple):
 
 
 class CodeFacts(NamedTuple):
-    """Per-statement identifier facts, all keyed by statement index; built
-    by :func:`extract_facts`."""
+    """What :func:`extract_facts` finds: each statement's variables and
+    calls, each defined function's (header, closing ``}``) statement span,
+    and the statements that assign each variable."""
 
     variables_by_statement: Mapping[int, frozenset[str]]
     calls_by_statement: Mapping[int, frozenset[str]]
@@ -387,106 +387,70 @@ def parse(text: str) -> SourceUnit:
     )
 
 
-def _statement_token_texts(unit: SourceUnit) -> dict[int, list[str]]:
-    by_stmt: dict[int, list[str]] = {s.index: [] for s in unit.statements}
-    for tok in unit.tokens:
-        if not tok.is_comment and tok.statement is not None:
-            by_stmt[tok.statement].append(tok.text)
-    return by_stmt
-
-
 def extract_facts(unit: SourceUnit) -> CodeFacts:
-    by_stmt = _statement_token_texts(unit)
+    """The facts of ``unit``'s statements, gathered in one loop over them.
+
+    In a statement's code tokens, a non-keyword identifier is a call when
+    ``(`` follows it and a variable otherwise.  A declaration assigns its
+    variables; an assignment assigns the identifiers before its first
+    assignment operator, or all of them when it has none (``i++;``).  A
+    statement other than a control header, brace or directive that ends in
+    ``)`` and is followed by a ``{`` statement defines the last identifier
+    before its first ``(``, if any; the definition runs to the ``}`` that
+    brings the brace depth back to zero, or to the last statement.  The
+    first definition of a name wins.
+    """
+    stmts = unit.statements
+    n = len(stmts)
+    by_stmt: list[list[str]] = [[] for _ in stmts]
+    for tok in unit.tokens:
+        if tok.statement is not None:
+            by_stmt[tok.statement].append(tok.text)
     calls_by_statement: dict[int, frozenset[str]] = {}
     variables_by_statement: dict[int, frozenset[str]] = {}
+    definitions: dict[str, tuple[int, int]] = {}
     assign_sets: dict[str, set[int]] = {}
 
-    for stmt in unit.statements:
-        toks = by_stmt[stmt.index]
-        calls: set[str] = set()
-        variables: set[str] = set()
+    for stmt, toks in zip(stmts, by_stmt):
+        idx, kind = stmt.index, stmt.kind
+        calls, variables, targets = set(), set(), set()
+        lhs = kind == "assignment"   # still before the first assignment operator
+        last = len(toks) - 1
         for pos, t in enumerate(toks):
             if not _IDENT_RE.fullmatch(t) or t in KEYWORDS:
+                if lhs and t in _ASSIGN_OPS:
+                    lhs = False
                 continue
-            if pos + 1 < len(toks) and toks[pos + 1] == "(":
+            if lhs:
+                targets.add(t)
+            if pos < last and toks[pos + 1] == "(":
                 calls.add(t)
             else:
                 variables.add(t)
-        calls_by_statement[stmt.index] = frozenset(calls)
-        variables_by_statement[stmt.index] = frozenset(variables)
+        calls_by_statement[idx] = frozenset(calls)
+        variables_by_statement[idx] = frozenset(variables)
 
-        if stmt.kind == "declaration":
-            for v in variables:
-                assign_sets.setdefault(v, set()).add(stmt.index)
-        elif stmt.kind == "assignment":
-            for v in _assignment_targets(toks):
-                assign_sets.setdefault(v, set()).add(stmt.index)
+        if kind == "declaration":
+            targets = variables
+        for v in targets:
+            assign_sets.setdefault(v, set()).add(idx)
 
-    return CodeFacts(
-        variables_by_statement=variables_by_statement,
-        calls_by_statement=calls_by_statement,
-        definitions=_find_definitions(unit, by_stmt),
-        assignments={v: frozenset(s) for v, s in assign_sets.items()},
-    )
-
-
-def _assignment_targets(toks: list[str]) -> set[str]:
-    idents_before: set[str] = set()
-    for pos, t in enumerate(toks):
-        if t in _ASSIGN_OPS:
-            return {
-                x for x in toks[:pos]
-                if _IDENT_RE.fullmatch(x) and x not in KEYWORDS
-            }
-        if _IDENT_RE.fullmatch(t) and t not in KEYWORDS:
-            idents_before.add(t)
-    # no plain assignment operator: ++/-- statement
-    return idents_before
-
-
-def _find_definitions(unit: SourceUnit,
-                      by_stmt: dict[int, list[str]]) -> dict[str, tuple[int, int]]:
-    defs: dict[str, tuple[int, int]] = {}
-    stmts = unit.statements
-    for stmt in stmts:
-        toks = by_stmt[stmt.index]
-        if not toks or toks[-1] != ")":
+        if (last < 0 or toks[last] != ")"
+                or kind in ("control-header", "brace", "preprocessor")
+                or idx + 1 >= n or stmts[idx + 1].normalized != "{"
+                or "(" not in toks):
             continue
-        if stmt.kind in ("control-header", "brace", "preprocessor"):
-            continue
-        nxt = stmt.index + 1
-        if nxt >= len(stmts) or stmts[nxt].normalized != "{":
-            continue
-        try:
-            first_paren = toks.index("(")
-        except ValueError:
-            continue
-        name = next(
-            (t for t in reversed(toks[:first_paren])
-             if _IDENT_RE.fullmatch(t) and t not in KEYWORDS),
-            None,
-        )
-        if name is None:
+        name = next((t for t in reversed(toks[:toks.index("(")])
+                     if _IDENT_RE.fullmatch(t) and t not in KEYWORDS), None)
+        if name is None or name in definitions:
             continue
         depth = 0
-        end = nxt
-        for j in range(nxt, len(stmts)):
-            if stmts[j].normalized == "{":
-                depth += 1
-            elif stmts[j].normalized == "}":
-                depth -= 1
-                if depth == 0:
-                    end = j
-                    break
-        else:
-            end = len(stmts) - 1
-        defs.setdefault(name, (stmt.index, end))
-    return defs
+        for end in range(idx + 1, n):   # ends at the last statement if unclosed
+            norm = stmts[end].normalized
+            depth += (norm == "{") - (norm == "}")
+            if depth == 0:
+                break
+        definitions[name] = (idx, end)
 
-
-def same_block_statements(unit: SourceUnit, stmt: Statement) -> list[Statement]:
-    """Other statements living directly in ``stmt``'s control-flow block."""
-    return [
-        s for s in unit.statements
-        if s.block_id == stmt.block_id and s.index != stmt.index
-    ]
+    return CodeFacts(variables_by_statement, calls_by_statement, definitions,
+                     {v: frozenset(s) for v, s in assign_sets.items()})

@@ -18,8 +18,8 @@ from repairkit.decoding import (BOUNDARY_TOKENS, DecodeLimits, DecodeResult,
                                 DecodeStats, DraftSource)
 from repairkit.errors import BackendContractError, RepairKitError
 from repairkit.source import (_ASSIGN_OPS, _CONTROL_PAREN, _CONTROL_WORDS,
-                              _IDENT_RE, _TOKEN_RE, _TYPE_WORDS, _WS_RE,
-                              ROOT_BLOCK, SourceUnit, Statement, Token)
+                              _IDENT_RE, _TOKEN_RE, _TYPE_WORDS, _WS_RE, KEYWORDS,
+                              ROOT_BLOCK, CodeFacts, SourceUnit, Statement, Token)
 
 
 def lev_ref(a: str, b: str) -> int:
@@ -608,3 +608,102 @@ def parse_ref(text: str) -> SourceUnit:
     tokens.extend(Token(cs, ce, text[cs:ce], True, None) for cs, ce in comments)
     tokens.sort(key=lambda t: (t.start, t.end))
     return SourceUnit(text, tuple(statements), tuple(tokens), scanner.degraded)
+
+
+def _statement_token_texts_ref(unit: SourceUnit) -> dict[int, list[str]]:
+    by_stmt: dict[int, list[str]] = {s.index: [] for s in unit.statements}
+    for tok in unit.tokens:
+        if not tok.is_comment and tok.statement is not None:
+            by_stmt[tok.statement].append(tok.text)
+    return by_stmt
+
+
+def extract_facts_ref(unit: SourceUnit) -> CodeFacts:
+    """``extract_facts`` as three passes: token grouping, then names, calls and
+    assignment targets per statement, then a separate walk for definitions."""
+    by_stmt = _statement_token_texts_ref(unit)
+    calls_by_statement: dict[int, frozenset[str]] = {}
+    variables_by_statement: dict[int, frozenset[str]] = {}
+    assign_sets: dict[str, set[int]] = {}
+
+    for stmt in unit.statements:
+        toks = by_stmt[stmt.index]
+        calls: set[str] = set()
+        variables: set[str] = set()
+        for pos, t in enumerate(toks):
+            if not _IDENT_RE.fullmatch(t) or t in KEYWORDS:
+                continue
+            if pos + 1 < len(toks) and toks[pos + 1] == "(":
+                calls.add(t)
+            else:
+                variables.add(t)
+        calls_by_statement[stmt.index] = frozenset(calls)
+        variables_by_statement[stmt.index] = frozenset(variables)
+
+        if stmt.kind == "declaration":
+            for v in variables:
+                assign_sets.setdefault(v, set()).add(stmt.index)
+        elif stmt.kind == "assignment":
+            for v in _assignment_targets_ref(toks):
+                assign_sets.setdefault(v, set()).add(stmt.index)
+
+    return CodeFacts(
+        variables_by_statement=variables_by_statement,
+        calls_by_statement=calls_by_statement,
+        definitions=_find_definitions_ref(unit, by_stmt),
+        assignments={v: frozenset(s) for v, s in assign_sets.items()},
+    )
+
+
+def _assignment_targets_ref(toks: list[str]) -> set[str]:
+    idents_before: set[str] = set()
+    for pos, t in enumerate(toks):
+        if t in _ASSIGN_OPS:
+            return {
+                x for x in toks[:pos]
+                if _IDENT_RE.fullmatch(x) and x not in KEYWORDS
+            }
+        if _IDENT_RE.fullmatch(t) and t not in KEYWORDS:
+            idents_before.add(t)
+    # no plain assignment operator: ++/-- statement
+    return idents_before
+
+
+def _find_definitions_ref(unit: SourceUnit,
+                          by_stmt: dict[int, list[str]]) -> dict[str, tuple[int, int]]:
+    defs: dict[str, tuple[int, int]] = {}
+    stmts = unit.statements
+    for stmt in stmts:
+        toks = by_stmt[stmt.index]
+        if not toks or toks[-1] != ")":
+            continue
+        if stmt.kind in ("control-header", "brace", "preprocessor"):
+            continue
+        nxt = stmt.index + 1
+        if nxt >= len(stmts) or stmts[nxt].normalized != "{":
+            continue
+        try:
+            first_paren = toks.index("(")
+        except ValueError:
+            continue
+        name = next(
+            (t for t in reversed(toks[:first_paren])
+             if _IDENT_RE.fullmatch(t) and t not in KEYWORDS),
+            None,
+        )
+        if name is None:
+            continue
+        depth = 0
+        end = nxt
+        for j in range(nxt, len(stmts)):
+            if stmts[j].normalized == "{":
+                depth += 1
+            elif stmts[j].normalized == "}":
+                depth -= 1
+                if depth == 0:
+                    end = j
+                    break
+        else:
+            end = len(stmts) - 1
+        defs.setdefault(name, (stmt.index, end))
+    return defs

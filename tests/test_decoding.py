@@ -114,6 +114,13 @@ def test_prefix_refuses_a_length_outside_its_buffer():
             Prefix(["a", "b"], n)
 
 
+def test_prefix_refuses_a_length_that_is_not_an_int():
+    # 2.0 passed the range check, then len() and both backends raised
+    for n in (2.0, 1.5, "2", None):
+        with pytest.raises(TypeError):
+            Prefix(["a", "b"], n)
+
+
 def test_prefix_refuses_a_buffer_that_is_not_a_list():
     # a backend compares the buffer's slices with its own lists
     for buffer in (("a", "b"), "ab", Prefix(["a", "b"], 2)):
@@ -499,13 +506,14 @@ def test_digest_script_prints_one_digest_per_seed(artifact, capsys):
     assert {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")} == before
 
 
-# What the corpus and decode builds wrote when these pins were set; a change
-# that alters any output on purpose updates them.  Triage is left out: its
-# diagnostics come from the local gcc.
+# What the corpus, decode and mask builds wrote when these pins were set; a
+# change that alters any output on purpose updates them.  Triage is left out:
+# its diagnostics come from the local gcc.
 _DIGESTS = {
     "corpus": ["cc0d83df86e2beb83fc45db70c3bbfd6eb1e8c6166e31fd6654fb9cea3eda28b",
                "d3a0091fb712fd346fac62f539bafba6af8d7bb1e7badb3a1635614ec07ab072"],
     "decode": ["cfd9e35e7e5b879223046e57c7f0d1e273ceb743249a219aa60e12af8dc8c787"],
+    "mask": ["95793edbb0219c73a92cd7a290967547c7e0eeef506106c65eb04895852c5433"],
 }
 
 

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repairkit.source import (ROOT_BLOCK, Statement, Token, extract_facts,
-                              parse, same_block_statements)
+from repairkit.source import ROOT_BLOCK, Statement, Token, extract_facts, parse
 
-from conftest import gen_program
-from oracles import parse_ref
+from conftest import gen_program, perturb_program
+from oracles import extract_facts_ref, parse_ref
 
 
 def texts(code):
@@ -134,8 +133,11 @@ _FRAGMENTS = [
 ]
 
 
+_FRAGMENT_TEXT = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join)
+
+
 @settings(max_examples=400)
-@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+@given(_FRAGMENT_TEXT)
 # unterminated regions, parsed one statement per line
 @example("x = 1\nreturn")
 @example("int f(void)\n  y\\")
@@ -154,6 +156,44 @@ _FRAGMENTS = [
 def test_parse_matches_the_one_character_scanner(text):
     got, want = parse(text), parse_ref(text)
     assert got == want
+
+
+@settings(max_examples=200)
+@given(_FRAGMENT_TEXT)
+def test_a_token_has_no_statement_exactly_when_it_is_a_comment(text):
+    # extract_facts and broadcast_to_tokens group tokens on this alone
+    for tok in parse(text).tokens:
+        assert (tok.statement is None) == tok.is_comment
+
+
+def _program(seed):
+    rng = random.Random(seed)
+    code = gen_program(rng)
+    return perturb_program(rng, code) if seed % 2 else code
+
+
+# what extract_facts reads beyond the scanner's fragments: calls, ++/--,
+# compound and chained assignments, definition headers, and a declarator in
+# parentheses whose header has no name
+_FACT_FRAGMENTS = _FRAGMENTS + [
+    "x++;", "--y;", "a -= b;", "m <<= 2;", "x = f(y) = 2;", "f(a)[i] = 1;",
+    "int (*p)(int);", "int (*p)(int)", "int g(int a)", "g(", "return g(x);",
+]
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.integers(0, 2**32).map(_program),
+                 st.lists(st.sampled_from(_FACT_FRAGMENTS), max_size=40).map("".join)))
+# an unclosed call in a definition, then a stray block: the brace walk ends
+# the definition at statement 3, not at the end of the file
+@example("int f() {\n g(\n}\n{\n}\n")
+# a definition whose "{" never closes runs to the last statement
+@example("int f() { x = 1; if (x) { y(); }")
+@example("x = f(y) = 2; i++; --j; a[i] += b;")
+@example("int (*p)(int)\n{ }\nint f(void) /* c */ { g(); }\nint f(int a) { }")
+def test_extract_facts_matches_the_three_pass_reference(text):
+    unit = parse(text)
+    assert extract_facts(unit) == extract_facts_ref(unit)
 
 
 def test_record_types_are_immutable_hashable_tuples():
@@ -187,9 +227,8 @@ def test_blocks_nest_and_braces_belong_outside():
 def test_same_block_members():
     unit = parse("int main() { a = 1; b = 2; if (a) { c = 3; } }")
     stmts = {s.text: s for s in unit.statements}
-    peers = [s.text for s in same_block_statements(unit, stmts["a = 1;"])]
-    assert "b = 2;" in peers
-    assert "c = 3;" not in peers
+    assert stmts["b = 2;"].block_id == stmts["a = 1;"].block_id
+    assert stmts["c = 3;"].block_id != stmts["a = 1;"].block_id
 
 
 FIB = """\
