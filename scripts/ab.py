@@ -8,8 +8,13 @@ parent checkout, which also says which direction is better) it prints each
 side's median and quartiles, the pairs the change won and lost (ties count
 for neither), and whether the change gains: at least 10 pairs ran, it won
 at least 9 pairs in 10, and its median beats the parent's by more than the
-parent's interquartile range.  Every run lasts the parent's
-``run_seconds``, and ``--workload`` must name one of its ``workloads``.
+parent's interquartile range.  The last column judges regressions against
+the metric's ``bound``: ``worse`` when the change's median is worse than the
+parent's by more than ``bound`` times the parent's median, else
+``unresolved`` when the parent's interquartile range is wider than that,
+unless every change run beats every parent run, else ``ok``.  Every run
+lasts the parent's ``run_seconds``, and ``--workload`` must name one of its
+``workloads``.
 Exits 1 if a run fails, and 2 on a bad argument.
 
     python3 scripts/ab.py PARENT_DIR CHANGE_DIR --workload repair \\
@@ -38,6 +43,7 @@ class Row(NamedTuple):
     wins: int
     losses: int
     gain: bool
+    verdict: str  # "worse", "unresolved" or "ok" against the metric's bound
 
 
 def _quartiles(values: Sequence[float]) -> tuple[float, float, float]:
@@ -60,17 +66,26 @@ def summarize(pairs: Sequence[tuple[dict, dict]], metrics: Sequence[dict]) -> li
         pq, cq = _quartiles(parent), _quartiles(change)
         gain = (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
                 and sign * (cq[1] - pq[1]) > pq[2] - pq[0])
-        rows.append(Row(name, m["unit"], m["better"], pq, cq, wins, losses, gain))
+        allowed = m["bound"] * abs(pq[1])
+        if sign * (cq[1] - pq[1]) < -allowed:
+            verdict = "worse"
+        elif (pq[2] - pq[0] > allowed
+              and not min(sign * c for c in change) > max(sign * p for p in parent)):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        rows.append(Row(name, m["unit"], m["better"], pq, cq, wins, losses, gain, verdict))
     return rows
 
 
 def format_rows(rows: Sequence[Row], n_pairs: int) -> str:
     lines = [f"{'metric (unit)':<24} {'better':<7} {'parent q1/median/q3':>32} "
-             f"{'change q1/median/q3':>32}  wins/losses  gain"]
+             f"{'change q1/median/q3':>32}  wins/losses  gain  regression"]
     for r in rows:
         sides = ["/".join(f"{v:.4g}" for v in q) for q in (r.parent, r.change)]
         lines.append(f"{f'{r.name} ({r.unit})':<24} {r.better:<7} {sides[0]:>32} {sides[1]:>32}  "
-                     f"{r.wins:>4}/{r.losses:<2} of {n_pairs}  {'yes' if r.gain else 'no'}")
+                     f"{r.wins:>4}/{r.losses:<2} of {n_pairs}  {'yes' if r.gain else 'no':<4}"
+                     f"  {r.verdict}")
     return "\n".join(lines)
 
 

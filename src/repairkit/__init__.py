@@ -15,7 +15,7 @@ from .decoding import (BOUNDARY_TOKENS, DecodeLimits, DecodeResult,
                        DecodeStats, DraftSource, EfficiencyReport, Prefix,
                        accelerated_decode, aggregate_reports, ar_decode,
                        compute_metrics, draft_generate, longest_matching_prefix,
-                       probe_backend, repair_prompt)
+                       repair_prompt)
 from .diffs import AlignedDiff, align_statements, levenshtein, line_edit_distance
 from .errors import (BackendContractError, DegenerateInputError,
                      LosslessnessError, RepairKitError)
@@ -45,7 +45,7 @@ __all__ = [
     "BOUNDARY_TOKENS", "DecodeLimits", "DecodeResult",
     "DecodeStats", "DraftSource", "EfficiencyReport", "Prefix", "accelerated_decode",
     "ar_decode", "aggregate_reports", "compute_metrics", "draft_generate",
-    "longest_matching_prefix", "probe_backend", "repair_prompt",
+    "longest_matching_prefix", "repair_prompt",
     # backends
     "EOS", "TargetOracleBackend", "SeededRandomBackend", "make_repair_oracle",
     # dataset

@@ -15,10 +15,11 @@ forward passes changes.
 
 Backends expose one method: ``forward(tokens)`` returns, for every position
 ``i``, the greedy next token after ``tokens[:i+1]``.  They must be
-deterministic and causal; the verification pass re-checks previously
-emitted positions for free and aborts with ``BackendContractError`` when a
-backend drifts.  Both decoders also raise it for a pass that returns a
-different number of predictions than it was given tokens.
+deterministic and causal.  Both decoders check every pass's prediction
+count, and every verify pass re-checks the prediction at each emitted
+position from the first on (``BackendContractError``); :func:`compute_metrics`
+refuses two runs that differ (``LosslessnessError``).  :func:`ar_decode`,
+the reference, checks only the count.
 
 Greedy steps hand ``forward`` a :class:`Prefix` of the decoder's context
 buffer, which only ever grows: the entries a ``Prefix`` covers never change
@@ -53,7 +54,6 @@ __all__ = [
     "draft_generate",
     "ar_decode",
     "accelerated_decode",
-    "probe_backend",
     "EfficiencyReport",
     "compute_metrics",
     "aggregate_reports",
@@ -262,10 +262,10 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
 
 def _check_consistency(preds: Sequence[str], ctx: Sequence[str],
                        n_prompt: int) -> None:
-    # Predictions over the already-emitted region must reproduce it exactly;
-    # anything else means the backend is not deterministic+causal.  One
-    # slice comparison checks it; only a failure walks the positions.
-    lo = max(n_prompt - 1, 0)
+    # Predictions from the first emitted token on must reproduce the output,
+    # or the backend is not deterministic+causal (lo >= 0: both decoders
+    # refuse an empty prompt).  One slice compare; a failure walks positions.
+    lo = n_prompt - 1
     if preds[lo:len(ctx) - 1] == ctx[lo + 1:]:
         return
     for i in range(lo, len(ctx) - 1):
@@ -347,21 +347,6 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     stats = DecodeStats(passes, len(out), draft_accepted, corrections,
                         fallback_tokens, sim_cost)
     return DecodeResult(out, stats, truncated=not (out and out[-1] == eos))
-
-
-def probe_backend(model: ModelBackend, sample: Sequence[str]) -> None:
-    """Cheap determinism/causality probe; raises BackendContractError."""
-    sample = list(sample)
-    if len(sample) < 2:
-        raise ValueError("probe sample needs at least 2 tokens")
-    first = _forward(model, sample)
-    if _forward(model, sample) != first:
-        raise BackendContractError("backend is not deterministic")
-    for cut in {1, len(sample) // 2, len(sample) - 1}:
-        if _forward(model, sample[:cut]) != first[:cut]:
-            raise BackendContractError(
-                f"prediction before position {cut} depends on later tokens"
-            )
 
 
 class EfficiencyReport(NamedTuple):

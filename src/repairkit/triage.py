@@ -3,7 +3,9 @@
 The compiler and every test run through one launcher, ``_run_jailed``: each
 program gets its own session, and its whole process group is killed once it
 exits or times out.  The compiler reads ``/dev/null``; its diagnostics are
-kept up to ``max_output_bytes`` bytes.
+kept up to ``max_output_bytes`` bytes.  Tests share a directory of their own
+and a copy of the binary until a test changes either; the next test then
+gets a new directory with a new copy.
 
 The bug taxonomy is deliberately coarse — compile error, time limit,
 presentation error (whitespace-only output mismatch), semantic error —
@@ -21,7 +23,9 @@ import re
 import resource
 import select
 import shlex
+import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
@@ -299,15 +303,40 @@ def run_test(binary: Path, case: TestCase, config: ExecutorConfig,
     )
 
 
+def _fingerprint(binary: Path) -> tuple | None:
+    """What of ``binary`` and its directory the next test needs unchanged,
+    or None if either is gone: the mode of each and, if it is still a
+    regular file (a FIFO would block the read), the binary's bytes.  Not
+    its change time, which may not move within a clock tick."""
+    try:
+        mode = os.lstat(binary).st_mode
+        return mode, os.lstat(binary.parent).st_mode, stat.S_ISREG(mode) and binary.read_bytes()
+    except OSError:
+        return None
+
+
 def triage_source(code: str, tests: list[TestCase],
                   config: ExecutorConfig | None = None) -> ExecutionReport:
-    """Compile ``code`` and run every test; never raises on program faults."""
+    """Compile ``code`` and run every test; never raises on program faults.
+
+    The tests run in a directory of their own on a copy of the binary.  A
+    test that removes, replaces or changes either leaves the next test a
+    new directory with a new copy, so no test can stop the next one from
+    starting.
+    """
     config = config or ExecutorConfig()
+    results = []
     with tempfile.TemporaryDirectory(prefix="repairkit-") as tmp:
         jail = Path(tmp)
         ok, diag, binary = compile_source(code, config, jail)
-        results = [run_test(binary, case, config, index=i)
-                   for i, case in enumerate(tests)] if ok else []
+        seen = None
+        for i, case in enumerate(tests if ok else ()):
+            if seen is None or _fingerprint(own) != seen:
+                # a new directory and copy for every test cost about half a
+                # millisecond each, so only when the last test changed its own
+                own = Path(shutil.copy(binary, tempfile.mkdtemp(dir=jail)))
+                seen = _fingerprint(own)
+            results.append(run_test(own, case, config, index=i))
     return ExecutionReport(compile_ok=ok, diagnostics=diag, results=results)
 
 

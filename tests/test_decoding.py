@@ -16,7 +16,7 @@ from repairkit.decoding import (DecodeLimits, DecodeResult, DecodeStats,
                                 DraftSource, Prefix, accelerated_decode,
                                 aggregate_reports, ar_decode, compute_metrics,
                                 draft_generate, longest_matching_prefix,
-                                probe_backend, repair_prompt)
+                                repair_prompt)
 from repairkit.errors import (BackendContractError, DegenerateInputError,
                               LosslessnessError)
 from repairkit.mask import MaskConfig
@@ -581,32 +581,17 @@ def test_drift_names_the_first_re_predicted_position():
     buggy = ["a", "=", "1", ";", "b", "=", "2", ";", "c", "=", "3", ";"]
     target = buggy[:10] + ["4", ";"]
     # pass 1 accepts "a = 1 ; b = 2 ; c =" and corrects to "4", a bridge
-    # step emits ";", and the verify pass after it sees the drift
-    backend = _DriftingBackend(buggy, target, drift_at=(5, 8))
-    position = len(backend.prompt) + 5
-    with pytest.raises(BackendContractError,
-                       match=f"position {position} as 'drift5' but previously "
-                             f"emitted '='"):
-        accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy))
-    assert backend.calls == 3
-
-
-class _FlakyBackend:
-    eos_token = EOS
-
-    def __init__(self):
-        self.calls = 0
-
-    def forward(self, tokens):
-        self.calls += 1
-        return [f"c{self.calls}"] * len(tokens)
-
-
-class _WrongLengthBackend:
-    eos_token = EOS
-
-    def forward(self, tokens):
-        return [EOS]
+    # step emits ";", and the verify pass after it sees the drift; the
+    # re-check starts at the first emitted token, output index 0
+    for drift_at, emitted in [((5, 8), "="), ((0,), "a")]:
+        backend = _DriftingBackend(buggy, target, drift_at=drift_at)
+        first = drift_at[0]
+        position = len(backend.prompt) + first
+        with pytest.raises(BackendContractError,
+                           match=f"position {position} as 'drift{first}' but previously "
+                                 f"emitted '{emitted}'"):
+            accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy))
+        assert backend.calls == 3
 
 
 class _OffByBackend:
@@ -636,46 +621,6 @@ def test_decoders_reject_a_pass_of_the_wrong_length(decode, delta):
         else:
             accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy),
                                DecodeLimits(max_tokens=6))
-
-
-def test_probe_accepts_an_honest_backend():
-    backend = SeededRandomBackend(7, ["a", "b", ";"])
-    probe_backend(backend, ["a", "b", ";", "a"])
-
-
-def test_probe_rejects_nondeterminism():
-    with pytest.raises(BackendContractError):
-        probe_backend(_FlakyBackend(), ["a", "b", "c", "d"])
-
-
-def test_probe_rejects_wrong_output_length():
-    with pytest.raises(BackendContractError):
-        probe_backend(_WrongLengthBackend(), ["a", "b", "c"])
-
-
-class _ShortOnPrefixesBackend:
-    """Consistent on the whole probe sample, one prediction short on a prefix."""
-
-    eos_token = EOS
-
-    def __init__(self, n):
-        self.n = n
-
-    def forward(self, tokens):
-        preds = [EOS] * len(tokens)
-        return preds if len(tokens) >= self.n else preds[1:]
-
-
-def test_probe_checks_the_prediction_count_on_every_pass():
-    sample = ["a", "b", "c", "d"]
-    with pytest.raises(BackendContractError, match="predictions for"):
-        probe_backend(_ShortOnPrefixesBackend(len(sample)), sample)
-
-
-def test_probe_rejects_noncausal_predictions():
-    backend = _RewritingBackend()
-    with pytest.raises(BackendContractError):
-        probe_backend(backend, ["a", "b", "c", "d"])
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,8 @@ def test_perfbench_selftest_accepts_real_output():
 # ---------------------------------------------------------------------------
 # scripts/ab.py, the A/B runner over two checkouts
 
-_E2E = [{"name": "throughput_per_s", "unit": "1/s", "better": "higher"},
-        {"name": "latency_p90_ms", "unit": "ms", "better": "lower"}]
+_E2E = [{"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
 
 
 def _pairs(parent, change):
@@ -141,6 +141,21 @@ def test_ab_summary_needs_ten_pairs_nine_wins_in_ten_and_a_median_past_the_sprea
     # nine pairs all won by far: still too few
     [row, _] = ab.summarize(_pairs([1] * 9, [9] * 9), _E2E)
     assert (row.wins, row.gain) == (9, False)
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    ([100] * 10, [80] * 10, "ok"),  # 20% worse, inside the 0.25 bound
+    ([100] * 10, [70] * 10, "worse"),  # 30% worse
+    ([60, 140] * 5, [100] * 10, "unresolved"),  # the parent spreads past the bound
+    ([60, 140] * 5, [150] * 10, "ok"),  # ... but every change run beats every parent run
+    ([60, 140] * 5, [50] * 10, "worse"),  # a median past the bound is worse however wide
+], ids=["ok", "worse", "unresolved", "ok-beats-every-run", "worse-despite-spread"])
+def test_ab_summary_judges_regressions_against_the_bound(parent, change, verdict):
+    ab = load_script("ab")
+    rows = ab.summarize(_pairs(parent, change), _E2E)
+    # the lower-is-better row reads the same numbers negated, so agrees
+    assert [r.verdict for r in rows] == [verdict, verdict]
+    assert ab.format_rows(rows, len(parent)).splitlines()[1].endswith(f"  {verdict}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -297,6 +297,46 @@ def test_processes_a_test_leaves_are_killed():
     assert state in (None, "Z")
 
 
+# prints the expected output, then does DAMAGE to its binary or working directory
+BREAKS_ITS_JAIL = """\
+#include <stdio.h>
+#include <stdlib.h>
+#include <sys/stat.h>
+#include <unistd.h>
+int main(int argc, char **argv) {
+    printf("1\\n");
+    fflush(stdout);
+    DAMAGE
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("damage", [
+    "remove(argv[0]);",
+    "chmod(argv[0], 0644);",
+    # the binary is no longer running once the shell replaces it, so it can be written
+    r'execl("/bin/sh", "sh", "-c", ": > \"$0\"", argv[0], (char *)0);',
+    # reading a FIFO with no writer would block triage
+    'remove(argv[0]); mkfifo(argv[0], 0755);',
+    # the guard keeps it from removing anything but a directory of triage's own
+    r'system("case \"$PWD\" in */repairkit-*) rm -rf -- \"$PWD\";; esac");',
+    pytest.param('chmod(".", 0500);', id="chmod-cwd", marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="root writes to a directory whatever its mode")),
+], ids=["remove", "chmod", "truncate", "fifo", "rm-cwd", "chmod-cwd"])
+def test_a_test_that_breaks_its_jail_does_not_stop_the_next(damage):
+    code = BREAKS_ITS_JAIL.replace("DAMAGE", damage)
+    # Failed is no OSError, so nothing in triage can catch it
+    old = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("triage hung"))
+    signal.alarm(10)
+    try:
+        report = triage_source(code, [TestCase("", "1\n")] * 2, FAST)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [r.passed for r in report.results] == [True, True]
+
+
 @pytest.mark.parametrize("module,name", [(os, "pidfd_open"), (resource, "prlimit")])
 def test_missing_platform_support_is_named(monkeypatch, module, name):
     monkeypatch.delattr(module, name)
