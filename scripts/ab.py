@@ -14,17 +14,24 @@ parent's by more than ``bound`` times the parent's median, else
 ``unresolved`` when the parent's interquartile range is wider than that,
 unless every change run beats every parent run, else ``ok``.  Every run
 lasts the parent's ``run_seconds``, and ``--workload`` must name one of its
-``workloads``.
+``workloads``.  ``--record PATH`` appends the comparison to ``PATH`` as one
+line of JSON: each side's commit (``+dirty`` when its tracked files differ
+from it), the date, the core count, the Python version, the workload, seed,
+run length and pair count, and per metric each side's quartiles, the wins,
+losses and both verdicts.
 Exits 1 if a run fails, and 2 on a bad argument.
 
     python3 scripts/ab.py PARENT_DIR CHANGE_DIR --workload repair \\
-        --pairs 10 --seed 11
+        --pairs 10 --seed 11 --record BENCH_repair.json
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -89,6 +96,25 @@ def format_rows(rows: Sequence[Row], n_pairs: int) -> str:
     return "\n".join(lines)
 
 
+def record(rows: Sequence[Row], **run: object) -> dict:
+    """One comparison as a JSON object: the fields of ``run`` (commits,
+    date, machine, workload...), then each row's numbers under its name."""
+    return {**run, "metrics": {
+        r.name: {"unit": r.unit, "better": r.better, "parent": list(r.parent),
+                 "change": list(r.change), "wins": r.wins, "losses": r.losses,
+                 "gain": r.gain, "regression": r.verdict} for r in rows}}
+
+
+def _commit(checkout: Path) -> str:
+    """``checkout``'s HEAD commit, ``+dirty`` if its tracked files differ from it."""
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True,
+                          check=False).stdout.strip()
+    dirty = subprocess.run(git + ["diff", "--quiet", "HEAD"], capture_output=True,
+                           check=False).returncode != 0
+    return (head or "unknown") + ("+dirty" if dirty else "")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """End-to-end metric values of one untraced run from ``checkout``."""
     proc = subprocess.run(
@@ -111,6 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--record", type=Path, metavar="PATH",
+                    help="append the comparison to PATH as one line of JSON")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -138,7 +166,16 @@ def main(argv: list[str] | None = None) -> int:
               "  ".join(f"{m['name']} {values['parent'][m['name']]:.4g} -> "
                         f"{values['change'][m['name']]:.4g}" for m in metrics),
               flush=True)
-    print(format_rows(summarize(pairs, metrics), len(pairs)))
+    rows = summarize(pairs, metrics)
+    print(format_rows(rows, len(pairs)))
+    if args.record:
+        run = {"parent": _commit(args.parent), "change": _commit(args.change),
+               "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+               "cores": os.cpu_count(), "python": platform.python_version(),
+               "workload": args.workload, "seed": args.seed, "seconds": seconds,
+               "pairs": len(pairs)}
+        with args.record.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record(rows, **run)) + "\n")
     return 0
 
 

@@ -12,7 +12,7 @@ from .backends import (EOS, SeededRandomBackend, TargetOracleBackend,
 from .dataset import (RepairPair, Submission, build_records, corpus_stats,
                       filter_pairs, load_archive, pair_submissions)
 from .decoding import (BOUNDARY_TOKENS, DecodeLimits, DecodeResult,
-                       DecodeStats, DraftSource, EfficiencyReport, Prefix,
+                       DecodeStats, DraftSource, EfficiencyReport, Extended, Prefix,
                        accelerated_decode, aggregate_reports, ar_decode,
                        compute_metrics, draft_generate, longest_matching_prefix,
                        repair_prompt)
@@ -43,7 +43,8 @@ __all__ = [
     "repair_loss", "similarity", "similarity_from_distance", "expansion_weight",
     # decoding
     "BOUNDARY_TOKENS", "DecodeLimits", "DecodeResult",
-    "DecodeStats", "DraftSource", "EfficiencyReport", "Prefix", "accelerated_decode",
+    "DecodeStats", "DraftSource", "EfficiencyReport", "Extended", "Prefix",
+    "accelerated_decode",
     "ar_decode", "aggregate_reports", "compute_metrics", "draft_generate",
     "longest_matching_prefix", "repair_prompt",
     # backends

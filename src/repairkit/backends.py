@@ -6,19 +6,22 @@ pass returns a greedy prediction per position) without any neural model:
 * :class:`TargetOracleBackend` — plays back one scripted target sequence
   after its one prompt; the workhorse for efficiency fixtures.  It checks
   the prompt once per pass for a list and once per buffer for a
-  :class:`~repairkit.decoding.Prefix`, which it answers with a ``Prefix``
-  of a stored prediction stream, so a greedy step costs O(1).
+  :class:`~repairkit.decoding.Prefix` or the context of an
+  :class:`~repairkit.decoding.Extended`, which it answers with a ``Prefix``
+  of a stored prediction stream, so any pass past the first on a buffer
+  costs O(1).
 * :class:`SeededRandomBackend` — adversarial hash-driven predictions; every
   prefix deterministically maps to an arbitrary next token.  Used to stress
   losslessness.  It keeps one cache, for the last buffer it was given as a
-  ``Prefix``: it hashes each position of that buffer once and answers with
-  a ``Prefix`` of its stored predictions, so a greedy step hashes only its
-  new token.  A list pass reads that cache and never writes it: when the
-  list starts with the positions the cache covers it hashes only the rest.
+  ``Prefix`` or an ``Extended``'s context: it hashes each position of that
+  buffer once and answers a ``Prefix`` with a ``Prefix`` of its stored
+  predictions, so a greedy step hashes only its new token.  It answers an
+  ``Extended`` with a sequence that hashes a draft position only when it is
+  read, and never caches the draft.  A list is hashed from scratch.
 
 Both keep ``forward(tokens)`` a pure function of ``tokens``: what
 they cache changes the cost of a pass, never its result.  Both answer a
-list with a fresh list and a ``Prefix`` with a ``Prefix``.
+list with a fresh list.
 
 Tokens are plain strings so fixtures stay readable.
 """
@@ -29,7 +32,7 @@ import zlib
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .decoding import Prefix, repair_prompt
+from .decoding import Extended, Prefix, longest_matching_prefix, repair_prompt
 from .errors import DegenerateInputError, RepairKitError
 
 __all__ = [
@@ -49,10 +52,12 @@ class TargetOracleBackend:
     next tokens followed by the target; the stream is padded with EOS in
     place as longer contexts arrive, and only ever grows.  A list is checked
     against the prompt on every pass and answered with a slice of the
-    stream.  A :class:`~repairkit.decoding.Prefix` is checked once per
-    buffer: the oracle remembers the last buffer whose ``Prefix`` covered
-    and matched the whole prompt, and answers with a ``Prefix`` of the
-    stream.  An oracle is scripted once.
+    stream.  A :class:`~repairkit.decoding.Prefix`, or an
+    :class:`~repairkit.decoding.Extended` whose context holds the whole
+    prompt, is checked once per buffer: the oracle remembers the last buffer
+    whose ``Prefix`` covered and matched the whole prompt, and answers with
+    a ``Prefix`` of the stream, since past the prompt a prediction depends
+    only on its position.  An oracle is scripted once.
     """
 
     concurrent_safe = True
@@ -76,10 +81,13 @@ class TargetOracleBackend:
         prompt = self.prompt
         if prompt is None:
             raise RepairKitError("this oracle has no script")
-        view = isinstance(tokens, Prefix)
-        if view:
-            buffer, n = tokens.buffer, tokens.n
+        if isinstance(tokens, Prefix):
+            view, buffer, n = True, tokens.buffer, tokens.n
+        elif isinstance(tokens, Extended) and tokens.context.n >= len(prompt):
+            # the prompt check reads only the context; the draft is past it
+            view, buffer, n = True, tokens.context.buffer, len(tokens)
         else:
+            view = False
             buffer = tokens if isinstance(tokens, list) else list(tokens)
             n = len(buffer)
         if not view or buffer is not self._checked:
@@ -109,21 +117,26 @@ class SeededRandomBackend:
     The prefix hash is a polynomial rolling hash mod 2**64, so earlier
     positions' hashes serve a longer context, the way a KV cache serves a
     decoder's growing context.  One slot caches the hashes and predictions
-    of the last buffer given as a :class:`~repairkit.decoding.Prefix`:
+    of the last buffer given as a :class:`~repairkit.decoding.Prefix` or as
+    the context of an :class:`~repairkit.decoding.Extended`:
 
     * a ``Prefix`` of that buffer hashes only the positions past the slot's,
       appending in place, and is answered with a ``Prefix`` of the grow-only
-      predictions; a ``Prefix`` of another buffer swaps in a fresh slot;
-    * a list reads the slot and never writes it, as a verify pass reads the
-      cache of the accepted context without committing its draft: if it
-      starts with the slot's ``k`` positions, only the rest is hashed, into
-      a copy, and it gets a fresh list; otherwise it is hashed from 0.
+      predictions.  A ``Prefix`` of another buffer swaps in a new slot that
+      starts with copies of the old slot's hashes and predictions for the
+      head the two buffers share;
+    * an ``Extended`` has its context served the same way, and is answered
+      with a sequence that hashes each draft position, continuing from the
+      context's last hash, when it is first read.  The draft never enters
+      the slot, as a verify pass reads the cache of the accepted context
+      without committing its draft;
+    * a list is hashed from position 0.
 
-    The slot is a tuple swapped in whole, and the predictions grow after the
-    hashes, so a list that takes ``k`` from the predictions finds ``k``
-    hashes even while another thread grows the slot.  Threads may share one
-    instance as long as each decodes in a buffer of its own, as the
-    decoders do.
+    The slot is a tuple swapped in whole, never cut in place, and the
+    predictions grow after the hashes, so a new slot that takes ``k`` from
+    the old predictions finds ``k`` hashes even while another thread grows
+    them.  Threads may share one instance as long as each decodes in a
+    buffer of its own, as the decoders do.
     """
 
     concurrent_safe = True
@@ -163,23 +176,76 @@ class SeededRandomBackend:
             hashes.append(h)
             preds.append(vocab[x % size])
 
+    def _slot(self, buffer: list, n: int) -> tuple[list[int], list[str]]:
+        """The slot's hashes and predictions for ``buffer``, covering at
+        least its first ``n`` positions."""
+        old, hashes, preds = self._view
+        if old is not buffer:
+            # k from preds, which grows after hashes: hashes[:k] are all there
+            k = min(len(preds), n)
+            if old[:k] != buffer[:k]:
+                k = longest_matching_prefix(old, buffer[:k])
+            hashes, preds = hashes[:k], preds[:k]
+            self._view = (buffer, hashes, preds)
+        if len(hashes) < n:
+            self._hash(islice(buffer, len(hashes), n), hashes, preds)
+        return hashes, preds
+
     def forward(self, tokens: Sequence[str]) -> Sequence[str]:
-        buffer, hashes, preds = self._view
         if isinstance(tokens, Prefix):
             n = tokens.n
-            if buffer is not tokens.buffer:
-                buffer, hashes, preds = self._view = (tokens.buffer, [], [])
-            k = len(hashes)
-            if k < n:
-                self._hash(islice(buffer, k, n), hashes, preds)
-            return Prefix(preds, n)
-        # k from preds, which grows after hashes: hashes[k - 1] exists
-        k = min(len(preds), len(tokens))
-        if tokens[:k] != buffer[:k]:
-            k = 0
-        out = preds[:k]
-        self._hash(islice(tokens, k, None), hashes[k - 1:k], out)
-        return out
+            return Prefix(self._slot(tokens.buffer, n)[1], n)
+        if isinstance(tokens, Extended):
+            n = tokens.context.n
+            hashes, preds = self._slot(tokens.context.buffer, n)
+            return _DraftPredictions(self, Prefix(preds, n), hashes[n - 1:n], tokens.draft)
+        preds = []
+        self._hash(tokens, [], preds)
+        return preds
+
+
+class _DraftPredictions:
+    """A :class:`SeededRandomBackend`'s answer to an ``Extended``: the
+    ``Prefix`` of the context's predictions, then the draft's, each hashed
+    when first read from the context's last hash in ``hashes``."""
+
+    __slots__ = ("_backend", "_context", "_draft", "_hashes", "_preds")
+
+    def __init__(self, backend: SeededRandomBackend, context: Prefix,
+                 hashes: list[int], draft: list[str]):
+        self._backend = backend
+        self._context = context
+        self._draft = draft
+        self._hashes = hashes
+        self._preds: list[str] = []
+
+    def __len__(self) -> int:
+        return self._context.n + len(self._draft)
+
+    def _draft_preds(self, stop: int) -> list[str]:
+        """The draft's predictions, hashed up to position ``stop``."""
+        preds = self._preds
+        if len(preds) < stop:
+            self._backend._hash(islice(self._draft, len(preds), stop), self._hashes, preds)
+        return preds
+
+    def __getitem__(self, i: int | slice):
+        n = self._context.n
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step != 1:
+                return [self[j] for j in range(start, stop, step)]
+            if stop <= n:
+                return self._context[start:stop]
+            return self._context[start:n] + self._draft_preds(stop - n)[max(start - n, 0):stop - n]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("prediction index out of range")
+        return self._context[i] if i < n else self._draft_preds(i - n + 1)[i - n]
+
+    def __iter__(self):
+        return iter(self[:])
 
 
 def make_repair_oracle(buggy: Sequence[str], fixed: Sequence[str],

@@ -26,16 +26,21 @@ buffer, which only ever grows: the entries a ``Prefix`` covers never change
 afterwards, so a backend may check or hash a buffer once and reuse that work
 for every later ``Prefix`` of it.  Given a ``Prefix``, a backend may answer
 with a ``Prefix`` of its own grow-only buffer; the decoders only read a
-pass's result.  Verify passes hand a fresh list, the context followed by a
-draft; a backend may serve a list from its per-buffer cache when the list's
-head matches that buffer, as a KV cache serves a draft appended to the
-accepted context.
+pass's result.  Verify passes hand an :class:`Extended`: a ``Prefix`` of the
+same context buffer followed by a draft that is not committed.  A backend
+may serve its context from the per-buffer cache, as a KV cache serves the
+accepted context, and must not cache the draft as part of the buffer; it
+may answer with any sequence, even one that computes a draft position's
+prediction only when it is read.  The decoder reads the context's
+predictions once, then the draft's only up to the first disagreement plus
+one correction, in chunks that double.  A backend that does not know
+``Extended`` may treat it as any sequence.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple, Protocol, Sequence
 
 from .errors import (BackendContractError, Checked, DegenerateInputError,
@@ -45,6 +50,7 @@ __all__ = [
     "BOUNDARY_TOKENS",
     "ModelBackend",
     "Prefix",
+    "Extended",
     "DecodeLimits",
     "DecodeStats",
     "DecodeResult",
@@ -64,6 +70,9 @@ BOUNDARY_TOKENS = frozenset((";", "{", "}"))
 
 # The first greedy bridge after a draft miss, in tokens.
 _BRIDGE = 5
+
+# The draft tokens a verify pass reads first; each later read ends twice as far in.
+_FIRST_READ = 8
 
 
 class Prefix:
@@ -92,7 +101,10 @@ class Prefix:
 
     def __getitem__(self, i: int | slice):
         if isinstance(i, slice):
-            return self.buffer[:self.n][i]
+            start, stop, step = i.indices(self.n)
+            if start < 0:  # a negative step from before the first entry: empty
+                return []
+            return self.buffer[start:stop if stop >= 0 else None:step]
         if i < 0:
             i += self.n
         if not 0 <= i < self.n:
@@ -103,14 +115,57 @@ class Prefix:
         return islice(self.buffer, self.n)
 
 
+class Extended:
+    """A read-only sequence: the :class:`Prefix` ``context``, then the list
+    ``draft``, which is not committed to the context's buffer.
+
+    Indexing and slicing read the context's buffer or the draft without
+    joining them; a slice is a new list.
+    """
+
+    __slots__ = ("context", "draft")
+
+    def __init__(self, context: Prefix, draft: list):
+        if not isinstance(context, Prefix):
+            raise TypeError(f"an Extended context is a Prefix, not a {type(context).__name__}")
+        if not isinstance(draft, list):
+            raise TypeError(f"an Extended draft is a list, not a {type(draft).__name__}")
+        self.context = context
+        self.draft = draft
+
+    def __len__(self) -> int:
+        return self.context.n + len(self.draft)
+
+    def __getitem__(self, i: int | slice):
+        n = self.context.n
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step != 1:
+                return [self[j] for j in range(start, stop, step)]
+            if stop <= n:
+                return self.context[start:stop]
+            return self.context[start:n] + self.draft[max(start - n, 0):stop - n]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("Extended index out of range")
+        return self.context.buffer[i] if i < n else self.draft[i - n]
+
+    def __iter__(self):
+        return chain(self.context, self.draft)
+
+
 class ModelBackend(Protocol):
     """Anything with a greedy ``forward`` pass and an EOS token.
 
     ``forward`` may be given a :class:`Prefix` of a grow-only buffer, and
     may then cache work per buffer and answer with a ``Prefix`` of a
-    grow-only buffer of its own.  It may serve a list from that per-buffer
-    cache when the list's head matches the buffer.  Callers only read the
-    result.
+    grow-only buffer of its own.  It may be given an :class:`Extended`, a
+    ``Prefix`` plus a draft: it may serve the ``Prefix`` from that cache and
+    answer with a sequence that computes the draft's predictions as they are
+    read, but must not cache the draft as part of the buffer.  Any other
+    sequence, a list say, it answers from scratch or from caches of its own.
+    Callers only read the result.
     """
 
     eos_token: str
@@ -276,6 +331,19 @@ def _check_consistency(preds: Sequence[str], ctx: Sequence[str],
             )
 
 
+def _agreement(preds: Sequence[str], start: int, draft: list[str]) -> int:
+    """How many of ``draft``'s first tokens ``preds[start:]`` repeats, read
+    in slices of 8, 8, 16, 32... tokens so that the read stops within one
+    slice past the first disagreement."""
+    k, end = 0, min(_FIRST_READ, len(draft))
+    while k < len(draft):
+        got = preds[start + k:start + end]
+        if got != draft[k:end]:
+            return k + longest_matching_prefix(got, draft[k:end])
+        k, end = end, min(2 * end, len(draft))
+    return k
+
+
 def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
                        source: DraftSource,
                        limits: DecodeLimits | None = None) -> DecodeResult:
@@ -300,17 +368,16 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
         run = cap - len(out)
         if draft:
             # One forward pass verifies the whole draft against the context:
-            # cand[j] is the model's next token after ctx + draft[:j].
-            inp = ctx + draft
-            preds = _forward(model, inp)
+            # preds[n - 1 + j] is the model's next token after ctx + draft[:j].
+            n = len(ctx)
+            preds = _forward(model, Extended(Prefix(ctx, n), draft))
             passes += 1
-            sim_cost += _pass_cost(len(inp))
+            sim_cost += _pass_cost(n + len(draft))
             _check_consistency(preds, ctx, len(prompt))
-            cand = preds[len(ctx) - 1:]
-            k = longest_matching_prefix(cand, draft)
+            k = _agreement(preds, n - 1, draft)
             # The agreeing prefix plus one correction token: the correction
             # is conditioned on the verified prefix, so it is free progress.
-            new = cand[:k + 1]
+            new = preds[n - 1:n + k]
             if eos in new:
                 new = new[:new.index(eos) + 1]
             new = new[:run]

@@ -3,9 +3,12 @@
 The compiler and every test run through one launcher, ``_run_jailed``: each
 program gets its own session, and its whole process group is killed once it
 exits or times out.  The compiler reads ``/dev/null``; its diagnostics are
-kept up to ``max_output_bytes`` bytes.  Tests share a directory of their own
-and a copy of the binary until a test changes either; the next test then
-gets a new directory with a new copy.
+kept up to ``max_output_bytes`` bytes.  A test's files are capped at that
+size too, and its CPU time at what its timeout allows on every core, so a
+test that outlives its launcher still ends.  Tests share a directory of
+their own and a copy of the binary until a test changes either; the next
+test then gets a new directory with a new copy, written from the binary's
+bytes as the compiler left them.
 
 The bug taxonomy is deliberately coarse — compile error, time limit,
 presentation error (whitespace-only output mismatch), semantic error —
@@ -23,7 +26,6 @@ import re
 import resource
 import select
 import shlex
-import shutil
 import signal
 import stat
 import subprocess
@@ -212,10 +214,12 @@ def _exits_within(pid: int, timeout_s: float) -> bool:
 
 
 def _run_jailed(argv: list[str], jail: Path, stdin, timeout_s: float, keep: int, stderr=False,
-                env: dict | None = None, fsize: int | None = None) -> tuple[int, bool, bytes]:
-    """Run ``argv`` in ``jail`` in its own session, its files capped at ``fsize`` bytes,
-    until it exits or times out; then kill its whole group.  Returns the exit code,
-    whether it timed out, and the first ``keep`` bytes of stdout (stderr if ``stderr``)."""
+                env: dict | None = None,
+                limits: Sequence[tuple[int, int]] = ()) -> tuple[int, bool, bytes]:
+    """Run ``argv`` in ``jail`` in its own session, under each ``(resource, value)``
+    of ``limits``, until it exits or times out; then kill its whole group.  Returns the
+    exit code, whether it timed out, and the first ``keep`` bytes of stdout (stderr if
+    ``stderr``)."""
     if not (hasattr(os, "pidfd_open") and hasattr(resource, "prlimit")):
         raise RepairKitError(f"{_PLATFORM}, which this platform lacks")
     with tempfile.TemporaryFile(dir=jail) as capture:
@@ -225,8 +229,8 @@ def _run_jailed(argv: list[str], jail: Path, stdin, timeout_s: float, keep: int,
         try:
             try:
                 # set from the parent so no preexec_fn is needed (thread-safe)
-                if fsize is not None:
-                    resource.prlimit(proc.pid, resource.RLIMIT_FSIZE, (fsize, fsize))
+                for res, value in limits:
+                    resource.prlimit(proc.pid, res, (value, value))
             except OSError:
                 pass
             timed_out = not _exits_within(proc.pid, timeout_s)
@@ -280,10 +284,14 @@ def run_test(binary: Path, case: TestCase, config: ExecutorConfig,
     """Run one test with its input file as stdin and its output capped."""
     start = time.perf_counter()
     cap = config.max_output_bytes
+    # a process spends at most its wall time on every core, so this CPU cap
+    # never ends a test before its timeout; it ends one that triage cannot kill
+    cpu_s = math.ceil(config.timeout_s * (os.cpu_count() or 1)) + 1
     with _input_file(binary.parent, case.input.encode()) as in_fh:
         # one byte past the cap, so that a flood shows
         returncode, timed_out, data = _run_jailed(
-            [str(binary)], binary.parent, in_fh, config.timeout_s, cap + 1, fsize=cap + 1)
+            [str(binary)], binary.parent, in_fh, config.timeout_s, cap + 1,
+            limits=((resource.RLIMIT_FSIZE, cap + 1), (resource.RLIMIT_CPU, cpu_s)))
     elapsed = time.perf_counter() - start
     truncated = len(data) > cap
     stdout = data[:cap].decode("utf-8", errors="replace")
@@ -315,26 +323,38 @@ def _fingerprint(binary: Path) -> tuple | None:
         return None
 
 
+def _write_copy(image: bytes, path: Path) -> Path:
+    """A new executable file at ``path`` (mode 0755) holding ``image``,
+    created exclusively so that it follows no link an earlier test left."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o755)
+    with open(fd, "wb") as fh:
+        os.fchmod(fd, 0o755)  # whatever the umask
+        fh.write(image)
+    return path
+
+
 def triage_source(code: str, tests: list[TestCase],
                   config: ExecutorConfig | None = None) -> ExecutionReport:
     """Compile ``code`` and run every test; never raises on program faults.
 
     The tests run in a directory of their own on a copy of the binary.  A
     test that removes, replaces or changes either leaves the next test a
-    new directory with a new copy, so no test can stop the next one from
-    starting.
+    new directory with a new copy, written from the bytes read once after
+    compiling, so no test can stop the next one from starting, not even by
+    removing the compiled binary through ``..``.
     """
     config = config or ExecutorConfig()
     results = []
     with tempfile.TemporaryDirectory(prefix="repairkit-") as tmp:
         jail = Path(tmp)
         ok, diag, binary = compile_source(code, config, jail)
+        image = binary.read_bytes() if ok and tests else b""
         seen = None
         for i, case in enumerate(tests if ok else ()):
             if seen is None or _fingerprint(own) != seen:
                 # a new directory and copy for every test cost about half a
                 # millisecond each, so only when the last test changed its own
-                own = Path(shutil.copy(binary, tempfile.mkdtemp(dir=jail)))
+                own = _write_copy(image, Path(tempfile.mkdtemp(dir=jail)) / binary.name)
                 seen = _fingerprint(own)
             results.append(run_test(own, case, config, index=i))
     return ExecutionReport(compile_ok=ok, diagnostics=diag, results=results)

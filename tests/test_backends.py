@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import repairkit
 from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
-from repairkit.decoding import (DecodeLimits, DraftSource, Prefix,
-                                accelerated_decode, ar_decode)
+from repairkit.decoding import (DecodeLimits, DraftSource, Extended, Prefix,
+                                accelerated_decode, ar_decode, longest_matching_prefix)
 from repairkit.errors import RepairKitError
 
 from oracles import oracle_forward_ref, seeded_random_ref
@@ -135,6 +135,7 @@ def test_oracle_caches_no_buffer_shorter_than_its_prompt():
 
 
 _GROW_TOKS = st.sampled_from(["a", "b", "x"])
+_SLICE_BOUND = st.one_of(st.none(), st.integers(-8, 8))
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,6 +162,48 @@ def test_prefix_passes_match_list_passes(prompt, target, keep, appends, seed):
             want = seeded_random_ref(seed, vocab, buf[:n])
             assert rand.forward(buf[:n]) == want
             assert list(rand.forward(Prefix(buf, n))) == want
+
+
+def _reads(answer, cut, start, stop, step):
+    """What the decoder, or any caller, may read of a pass's answer: its
+    length, every index, negative ones too, from the back (so a lazy answer
+    computes its last entry first), a slice and a cut then the whole."""
+    size = len(answer)
+    items = [answer[i] for i in range(-1, -size - 1, -1)][::-1]
+    return size, items, answer[start:stop:step], answer[:cut] + answer[cut:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=4),
+       st.lists(st.sampled_from(["x", "a", EOS]), max_size=4),
+       st.integers(0, 4),
+       st.lists(_GROW_TOKS, max_size=6),
+       st.lists(_GROW_TOKS, max_size=6),
+       st.integers(0, 2**32),
+       st.integers(0, 12), _SLICE_BOUND, _SLICE_BOUND,
+       st.one_of(st.none(), st.integers(-3, 3).filter(bool)))
+def test_extended_passes_match_list_passes(prompt, target, keep, tail, draft, seed,
+                                           cut, start, stop, step):
+    # every context length of one buffer, with a draft the buffer never sees;
+    # the answer reads like the list pass's answer and the reference
+    oracle = TargetOracleBackend()
+    oracle.script(prompt, target)
+    rand = SeededRandomBackend(seed, ["a", "b", "x"])
+    vocab = list(rand.vocab)
+    buf = prompt[:keep] + tail
+
+    def read(forward):
+        return lambda t: _reads(forward(t), cut, start, stop, step)
+
+    for n in range(len(buf) + 1):
+        toks = buf[:n] + draft
+        want = _outcome(read(lambda t: oracle_forward_ref(prompt, target, EOS, t)), toks)
+        assert _outcome(read(oracle.forward), toks) == want
+        assert _outcome(read(oracle.forward), Extended(Prefix(buf, n), list(draft))) == want
+        want = seeded_random_ref(seed, vocab, toks)
+        assert read(rand.forward)(toks) == read(lambda t: want)(toks)
+        assert read(rand.forward)(Extended(Prefix(buf, n), list(draft))) == read(lambda t: want)(toks)
+        assert list(rand.forward(Extended(Prefix(buf, n), list(draft)))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +339,103 @@ def test_random_greedy_decode_hashes_each_position_once(n_prompt, cap):
     assert len({id(a.buffer) for a in answers}) == 1
 
 
-def test_list_passes_read_the_prefix_cache_and_never_write_it():
+def test_verify_passes_read_the_prefix_cache_and_never_write_it():
     backend = SeededRandomBackend(2, _BIG_VOCAB)
     vocab = list(backend.vocab)
     buf = ["<fix>"] + _BIG_VOCAB[:30] + ["<sep>"]
     draft = _BIG_VOCAB[100:112]
     backend.forward(Prefix(buf, len(buf)))
     hashed = _count_hashes(backend)
-    # a verify pass: the cached buffer plus a draft hashes only the draft
-    inp = buf + draft
-    assert backend.forward(inp) == seeded_random_ref(2, vocab, inp)
-    assert len(hashed) == len(draft)
+    # a verify pass: the cached buffer plus a draft hashes draft positions
+    # only as they are read, each once
+    got = backend.forward(Extended(Prefix(buf, len(buf)), draft))
+    assert hashed == []
+    want = seeded_random_ref(2, vocab, buf + draft)
+    assert got[:len(buf)] == want[:len(buf)] and hashed == []
+    assert got[len(buf) + 2] == want[len(buf) + 2]
+    assert hashed == draft[:3]
+    assert list(got) == want
+    assert hashed == draft
     # the draft was not committed: the buffer grown by one hashes one
     del hashed[:]
     buf.append("w7")
     got = backend.forward(Prefix(buf, len(buf)))
     assert list(got) == seeded_random_ref(2, vocab, buf)
-    assert len(hashed) == 1
+    assert hashed == ["w7"]
+
+
+def test_list_passes_hash_from_scratch_and_leave_the_cache_alone():
+    backend = SeededRandomBackend(2, _BIG_VOCAB)
+    vocab = list(backend.vocab)
+    buf = ["<fix>"] + _BIG_VOCAB[:30] + ["<sep>"]
+    backend.forward(Prefix(buf, len(buf)))
+    hashed = _count_hashes(backend)
+    inp = buf + ["w5"]
+    assert backend.forward(inp) == seeded_random_ref(2, vocab, inp)
+    assert hashed == inp
+    del hashed[:]
+    buf.append("w7")
+    assert list(backend.forward(Prefix(buf, len(buf)))) == seeded_random_ref(2, vocab, buf)
+    assert hashed == ["w7"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.tuples(st.integers(0, 1 << 20), st.lists(_GROW_TOKS, max_size=6),
+                          st.integers(0, 1 << 20)), min_size=1, max_size=8))
+def test_a_new_buffer_reuses_the_head_it_shares_with_the_cached_one(seed, buffers):
+    # each buffer starts with a head of the one before and is read as a
+    # Prefix of some length: only its positions past the head that the
+    # cached buffer shares, as far as the cache had hashed it, are hashed
+    backend = SeededRandomBackend(seed, ["a", "b", "x"])
+    vocab = list(backend.vocab)
+    hashed = _count_hashes(backend)
+    answers = []
+    old, cached = [], 0
+    for cut, toks, r in buffers:
+        buf = old[:cut % (len(old) + 1)] + toks
+        n = r % (len(buf) + 1)
+        before = len(hashed)
+        answers.append((list(buf[:n]), backend.forward(Prefix(buf, n))))
+        kept = longest_matching_prefix(old[:cached], buf[:n])
+        assert len(hashed) - before == n - kept
+        old, cached = buf, n
+    # the new slots are copies: no earlier answer changed
+    for toks, answer in answers:
+        assert list(answer) == seeded_random_ref(seed, vocab, toks)
+
+
+def _count_calls(backend: SeededRandomBackend, hashed: list[str]) -> list[tuple]:
+    """One entry per later forward pass: the kind of its input, its context
+    length, its draft (None for a Prefix), the count of ``hashed`` when the
+    pass was called and when it returned."""
+    passes = []
+    forward = backend.forward
+
+    def counted_forward(toks):
+        before = len(hashed)
+        preds = forward(toks)
+        view = toks.context if isinstance(toks, Extended) else toks
+        passes.append((type(toks), len(view), getattr(toks, "draft", None), before, len(hashed)))
+        return preds
+
+    backend.forward = counted_forward
+    return passes
+
+
+def test_random_decode_after_greedy_reuses_the_prompt_hashes():
+    # the first verify pass of an accelerated decode finds the prompt in the
+    # greedy decode's buffer, which the backend cached
+    prompt = ["<fix>"] + _BIG_VOCAB[:40] + ["<sep>"]
+    backend = SeededRandomBackend(8, _BIG_VOCAB)
+    ar = ar_decode(backend, prompt, 50)
+    hashed = _count_hashes(backend)
+    passes = _count_calls(backend, hashed)
+    acc = accelerated_decode(backend, prompt, DraftSource.from_tokens(_BIG_VOCAB[:40]),
+                             DecodeLimits(max_tokens=50))
+    assert acc.tokens == ar.tokens
+    kind, n, _, before, after = passes[0]
+    assert (kind, n, before, after) == (Extended, len(prompt), 0, 0)
 
 
 @pytest.mark.parametrize("draft_kind", ["useless", "mostly right"])
@@ -324,35 +447,36 @@ def test_random_accelerated_decode_hashes_each_greedy_position_once(draft_kind):
     else:
         draft = [";" if i % 9 == 8 else tok for i, tok in enumerate(want)]
     backend = SeededRandomBackend(8, _BIG_VOCAB)
+    vocab = list(backend.vocab)
     hashed = _count_hashes(backend)
-    greedy = []  # (context length, positions hashed) per Prefix pass
-    verify = []  # (positions hashed, length past the last Prefix) per list pass
-    forward = backend.forward
-
-    def counted_forward(toks):
-        before = len(hashed)
-        preds = forward(toks)
-        if isinstance(toks, Prefix):
-            greedy.append((len(toks), len(hashed) - before))
-        else:
-            cached = greedy[-1][0] if greedy else 0
-            verify.append((len(hashed) - before, len(toks) - cached))
-        return preds
-
-    backend.forward = counted_forward
+    passes = _count_calls(backend, hashed)
     result = accelerated_decode(backend, prompt, DraftSource.from_tokens(draft),
                                 DecodeLimits(max_tokens=200))
     assert result.tokens == want
-    assert result.stats.ar_fallback_tokens == len(greedy) > 1
-    # a greedy pass hashes only the positions past the previous one's: one
-    # per greedy step, plus whatever verify passes accepted in between
-    lengths = [0] + [n for n, _ in greedy]
-    hashes = [h for _, h in greedy]
-    assert hashes == [b - a for a, b in zip(lengths, lengths[1:])]
-    assert 1 in hashes[1:]
-    # a verify pass hashes only its positions past the last greedy pass's
-    # buffer, and the first, before any greedy pass, hashes them all
-    assert verify and all(h == past for h, past in verify)
+    kinds = [kind for kind, *_ in passes]
+    assert result.stats.ar_fallback_tokens == kinds.count(Prefix) > 1
+    assert kinds.count(Extended) == result.stats.forward_passes - kinds.count(Prefix) > 0
+    # a pass hashes in its call only the context positions past the previous
+    # pass's: a greedy step its new token, a verify pass the tokens accepted
+    # since, and the first pass, with nothing cached, its whole prompt
+    lengths = [0] + [n for _, n, *_ in passes]
+    assert [after - before for *_, before, after in passes] == \
+        [b - a for a, b in zip(lengths, lengths[1:])]
+    assert 1 in [after - before for kind, *_, before, after in passes if kind is Prefix]
+    # the decoder reads a verify pass's draft up to its first disagreement
+    # in slices of 8, 8, 16, 32...: the draft positions hashed between a
+    # verify pass and the next pass are the k accepted ones and at most the
+    # rest of the slice that holds the correction
+    ends = [before for *_, before, _ in passes[1:]] + [len(hashed)]
+    ctx = prompt + result.tokens
+    verify = 0
+    for (kind, n, draft, _, after), end in zip(passes, ends):
+        if kind is Extended:
+            k = longest_matching_prefix(seeded_random_ref(8, vocab, ctx[:n] + draft)[n - 1:],
+                                        draft)
+            assert k <= end - after <= min(len(draft), max(8, 1 << k.bit_length()))
+            verify += 1
+    assert verify > 0
 
 
 @pytest.mark.parametrize("make", [
@@ -448,7 +572,7 @@ def test_oracle_shared_by_threads_decodes_as_a_serial_run():
 
 def test_random_shared_by_threads_decodes_as_a_serial_run():
     # each thread decodes in its own buffers, so the threads keep replacing
-    # the backend's Prefix slot while other threads' list passes read it
+    # the backend's slot while other threads' verify passes read theirs
     prompt = ["<fix>"] + [f"w{i % 7}" for i in range(60)] + ["<sep>"]
     serial = SeededRandomBackend(6, _BIG_VOCAB)
     greedy = ar_decode(serial, prompt, 200).tokens

@@ -13,7 +13,7 @@ from repairkit import decoding
 from repairkit.backends import (EOS, SeededRandomBackend, TargetOracleBackend,
                                 make_repair_oracle)
 from repairkit.decoding import (DecodeLimits, DecodeResult, DecodeStats,
-                                DraftSource, Prefix, accelerated_decode,
+                                DraftSource, Extended, Prefix, accelerated_decode,
                                 aggregate_reports, ar_decode, compute_metrics,
                                 draft_generate, longest_matching_prefix,
                                 repair_prompt)
@@ -137,6 +137,78 @@ _SLICE_BOUND = st.one_of(st.none(), st.integers(-8, 8))
 def test_prefix_slices_like_a_list(n, extra, start, stop, step):
     buf = [f"t{i}" for i in range(n + extra)]
     assert Prefix(buf, n)[start:stop:step] == buf[:n][start:stop:step]
+
+
+class _SliceReads(list):
+    """A list that records the slices read from it."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.reads.append((i.start, i.stop))
+        return super().__getitem__(i)
+
+
+def test_a_prefix_slice_reads_only_the_slice():
+    # the decoder slices an oracle's Prefix answer on every verify pass
+    buf = _SliceReads(f"t{i}" for i in range(1000))
+    view = Prefix(buf, 900)
+    assert view[10:13] == ["t10", "t11", "t12"]
+    assert view[-2:] == ["t898", "t899"]
+    assert view[5:2:-1] == ["t5", "t4", "t3"]
+    assert buf.reads == [(10, 13), (898, 900), (5, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the Extended view
+
+
+def test_extended_reads_its_context_then_its_draft():
+    buf = ["a", "b", "c", "d"]
+    draft = ["x", "y"]
+    view = Extended(Prefix(buf, 2), draft)
+    assert len(view) == 4
+    assert [view[0], view[1], view[2], view[3], view[-1], view[-4]] == \
+        ["a", "b", "x", "y", "y", "a"]
+    for i in (4, 5, -5):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view[:] == ["a", "b", "x", "y"] and type(view[:]) is list
+    assert view[1:3] == ["b", "x"]
+    assert view[::-1] == ["y", "x", "b", "a"]
+    assert list(view) == ["a", "b", "x", "y"]
+    # the buffer grows past the context: the view does not see it
+    buf.append("e")
+    assert list(view) == ["a", "b", "x", "y"] and len(view) == 4
+    assert list(Extended(Prefix(buf, 0), [])) == [] and Extended(Prefix(buf, 0), [])[:] == []
+
+
+def test_extended_refuses_a_context_or_draft_of_the_wrong_type():
+    for context in (["a"], ("a",), Extended(Prefix(["a"], 1), [])):
+        with pytest.raises(TypeError):
+            Extended(context, ["x"])
+    for draft in (("x",), "x", Prefix(["x"], 1)):
+        with pytest.raises(TypeError):
+            Extended(Prefix(["a"], 1), draft)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5), _SLICE_BOUND, _SLICE_BOUND,
+       st.one_of(st.none(), st.integers(-3, 3).filter(bool)))
+def test_extended_reads_like_the_joined_list(n, extra, d, start, stop, step):
+    buf = [f"t{i}" for i in range(n + extra)]
+    draft = [f"d{j}" for j in range(d)]
+    view, want = Extended(Prefix(buf, n), draft), buf[:n] + draft
+    assert view[start:stop:step] == want[start:stop:step]
+    for i in range(-len(want) - 2, len(want) + 2):
+        if -len(want) <= i < len(want):
+            assert view[i] == want[i]
+        else:
+            with pytest.raises(IndexError):
+                view[i]
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +771,9 @@ class _PassInputs:
         self.passes = []
 
     def forward(self, tokens):
-        buffer = tokens.buffer if isinstance(tokens, Prefix) else tokens
-        self.passes.append((type(tokens), buffer, len(tokens)))
+        view = tokens.context if isinstance(tokens, Extended) else tokens
+        buffer = view.buffer if isinstance(view, Prefix) else view
+        self.passes.append((type(tokens), buffer, len(view)))
         return self._oracle.forward(tokens)
 
 
@@ -714,19 +787,54 @@ def test_ar_decode_passes_prefixes_of_one_growing_buffer():
     assert [n for _, _, n in backend.passes] == list(range(m, m + len(res.tokens)))
 
 
-def test_accelerated_decode_verifies_lists_and_steps_on_prefixes():
+def test_accelerated_decode_verifies_extended_views_and_steps_on_prefixes():
     buggy = ["a", "=", "1", ";", "b", "=", "2", ";", "c", "=", "3", ";"]
     backend = _PassInputs(buggy, buggy[:4] + ["b", "=", "5", ";"] + buggy[8:])
     res = accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy))
-    greedy = [(buffer, n) for kind, buffer, n in backend.passes if kind is Prefix]
-    verify = [buffer for kind, buffer, _ in backend.passes if kind is list]
-    assert len(greedy) == res.stats.ar_fallback_tokens > 0
-    assert len(verify) == res.stats.forward_passes - len(greedy) > 0
-    # every greedy step reads the one context buffer; a verify pass is a fresh list
-    assert len({id(buffer) for buffer, _ in greedy}) == 1
-    assert [n for _, n in greedy] == sorted({n for _, n in greedy})
-    assert all(v is not greedy[0][0] for v in verify)
-    assert len({id(v) for v in verify}) == len(verify)
+    kinds = [kind for kind, _, _ in backend.passes]
+    assert kinds.count(Prefix) == res.stats.ar_fallback_tokens > 0
+    assert kinds.count(Extended) == res.stats.forward_passes - kinds.count(Prefix) > 0
+    # every pass, greedy or verify, reads the one context buffer, each pass
+    # further along it; no verify pass's draft is written into it
+    assert len({id(buffer) for _, buffer, _ in backend.passes}) == 1
+    lengths = [n for _, _, n in backend.passes]
+    assert lengths == sorted(set(lengths))
+    assert backend.passes[0][1] == backend.prompt + res.tokens
+
+
+class _VerifyReads:
+    """An oracle whose verify passes answer with a list that records the
+    slices the decoder reads from it."""
+
+    eos_token = EOS
+
+    def __init__(self, buggy, target):
+        self._oracle = make_repair_oracle(buggy, target)
+        self.prompt = self._oracle.prompt
+        self.answers = []
+
+    def forward(self, tokens):
+        preds = self._oracle.forward(tokens)
+        if isinstance(tokens, Extended):
+            preds = _SliceReads(preds)
+            self.answers.append((len(tokens.context), len(tokens.draft), preds))
+        return preds
+
+
+def test_a_verify_pass_reads_the_draft_in_doubling_slices():
+    # the draft agrees for 20 tokens: the reads of 8, 8 and 16 tokens find
+    # the first disagreement, then the 20 tokens and the correction are taken
+    buggy = [f"s{i}" if i % 4 < 3 else ";" for i in range(48)]
+    target = buggy[:20] + ["fix"] + buggy[21:]
+    backend = _VerifyReads(buggy, target)
+    res = accelerated_decode(backend, backend.prompt, DraftSource.from_tokens(buggy))
+    assert res.tokens == target + [EOS]
+    n, d, first = backend.answers[0]
+    lo = len(backend.prompt) - 1
+    assert (n, d) == (len(backend.prompt), len(buggy))
+    assert first.reads == [(lo, n - 1),  # the context, for the consistency check
+                           (n - 1, n + 7), (n + 7, n + 15), (n + 15, n + 31),
+                           (n - 1, n + 20)]
 
 
 @pytest.mark.parametrize("decode", ["ar", "fast"])

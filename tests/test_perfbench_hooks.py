@@ -11,6 +11,9 @@ rather than at the benchmark.
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -171,3 +174,57 @@ def test_ab_rejects_bad_arguments_before_running(argv, capsys):
         ab.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_ab_record_holds_the_run_and_each_metric():
+    ab = load_script("ab")
+    rows = ab.summarize(_pairs(range(5, 15), [20, 21, 22, 23, 24, 26, 27, 28, 29, 14]), _E2E)
+    rec = ab.record(rows, parent="p0", change="c1+dirty", workload="repair", seed=3)
+    assert rec["parent"] == "p0" and rec["seed"] == 3
+    assert rec["metrics"]["throughput_per_s"] == {
+        "unit": "1/s", "better": "higher", "parent": [7.25, 9.5, 11.75],
+        "change": [21.25, 23.5, 26.75], "wins": 9, "losses": 0, "gain": True,
+        "regression": "unresolved"}
+    assert rec["metrics"]["latency_p90_ms"]["parent"] == [-11.75, -9.5, -7.25]
+    assert json.loads(json.dumps(rec)) == rec
+
+
+def test_ab_record_appends_one_line_per_comparison(tmp_path, monkeypatch, capsys):
+    ab = load_script("ab")
+    bench = {"run_seconds": 40, "workloads": [{"name": "repair"}], "end_to_end": _E2E}
+    sides = []
+    for name in ("parent", "change"):
+        side = tmp_path / name
+        (side / "perfbench").mkdir(parents=True)
+        (side / "perfbench" / "run.py").write_text("")
+        (side / "BENCHMARK.json").write_text(json.dumps(bench))
+        sides.append(str(side))
+    values = iter(range(100, 200))
+    runs = []
+
+    def fixed_run(checkout, workload, seed, seconds):
+        runs.append((Path(checkout).name, workload, seed, seconds))
+        v = next(values)
+        return {"throughput_per_s": v, "latency_p90_ms": 1000 / v}
+
+    monkeypatch.setattr(ab, "run_once", fixed_run)
+    out = tmp_path / "BENCH_repair.json"
+    argv = sides + ["--workload", "repair", "--pairs", "2", "--seed", "7", "--record", str(out)]
+    assert ab.main(argv) == 0
+    assert ab.main(argv) == 0
+    assert runs[:2] == [("parent", "repair", 7, 40), ("change", "repair", 7, 40)]
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    rec = json.loads(lines[1])
+    # not git checkouts: no commit to name
+    assert rec["parent"] == rec["change"] == "unknown+dirty"
+    assert {k: rec[k] for k in ("workload", "seed", "seconds", "pairs")} == \
+        {"workload": "repair", "seed": 7, "seconds": 40, "pairs": 2}
+    assert rec["cores"] == os.cpu_count() and rec["python"] == platform.python_version()
+    assert rec["date"].endswith("+00:00")
+    # the second call's runs only: parent 104 and 107 (its second pair runs
+    # the change first, 106), change 105 and 106
+    up = rec["metrics"]["throughput_per_s"]
+    assert (up["parent"], up["change"]) == ([104.75, 105.5, 106.25], [105.25, 105.5, 105.75])
+    assert (up["wins"], up["losses"]) == (1, 1)
+    capsys.readouterr()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import math
 import os
 import resource
 import shlex
@@ -323,7 +324,9 @@ int main(int argc, char **argv) {
     r'system("case \"$PWD\" in */repairkit-*) rm -rf -- \"$PWD\";; esac");',
     pytest.param('chmod(".", 0500);', id="chmod-cwd", marks=pytest.mark.skipif(
         os.geteuid() == 0, reason="root writes to a directory whatever its mode")),
-], ids=["remove", "chmod", "truncate", "fifo", "rm-cwd", "chmod-cwd"])
+    # the compiled binary that every new copy used to come from, then its own copy
+    'remove("../main.bin"); remove(argv[0]);',
+], ids=["remove", "chmod", "truncate", "fifo", "rm-cwd", "chmod-cwd", "remove-compiled"])
 def test_a_test_that_breaks_its_jail_does_not_stop_the_next(damage):
     code = BREAKS_ITS_JAIL.replace("DAMAGE", damage)
     # Failed is no OSError, so nothing in triage can catch it
@@ -335,6 +338,29 @@ def test_a_test_that_breaks_its_jail_does_not_stop_the_next(damage):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
     assert [r.passed for r in report.results] == [True, True]
+
+
+# spins until its CPU time is capped, then prints the cap
+WAITS_FOR_A_CPU_CAP = """\
+#include <stdio.h>
+#include <sys/resource.h>
+int main(void) {
+    struct rlimit r;
+    do getrlimit(RLIMIT_CPU, &r); while (r.rlim_cur == RLIM_INFINITY);
+    printf("%llu %llu\\n", (unsigned long long) r.rlim_cur, (unsigned long long) r.rlim_max);
+    return 0;
+}
+"""
+
+
+def test_a_test_program_gets_a_cpu_cap_its_timeout_never_reaches():
+    # the cap ends a test that triage no longer lives to kill; a process
+    # spends at most its wall time on every core, so it never ends one sooner
+    cap = math.ceil(FAST.timeout_s * os.cpu_count()) + 1
+    report = triage_source(WAITS_FOR_A_CPU_CAP, [TestCase("", f"{cap} {cap}\n")], FAST)
+    (result,) = report.results
+    assert not result.timed_out
+    assert result.passed, result.stdout
 
 
 @pytest.mark.parametrize("module,name", [(os, "pidfd_open"), (resource, "prlimit")])
