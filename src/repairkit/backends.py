@@ -15,9 +15,10 @@ pass returns a greedy prediction per position) without any neural model:
   losslessness.  It keeps one cache, for the last buffer it was given as a
   ``Prefix`` or an ``Extended``'s context: it hashes each position of that
   buffer once and answers a ``Prefix`` with a ``Prefix`` of its stored
-  predictions, so a greedy step hashes only its new token.  It answers an
+  predictions, so a greedy step costs O(new positions).  It answers an
   ``Extended`` with a sequence that hashes a draft position only when it is
   read, and never caches the draft.  A list is hashed from scratch.
+  Backends built from an equal vocabulary share one table.
 
 Both keep ``forward(tokens)`` a pure function of ``tokens``: what
 they cache changes the cost of a pass, never its result.  Both answer a
@@ -29,7 +30,6 @@ Tokens are plain strings so fixtures stay readable.
 from __future__ import annotations
 
 import zlib
-from itertools import islice
 from typing import Iterable, Sequence
 
 from .decoding import Extended, Prefix, longest_matching_prefix, repair_prompt
@@ -132,6 +132,12 @@ class SeededRandomBackend:
       without committing its draft;
     * a list is hashed from position 0.
 
+    A step slices only its new positions from the buffer, so it costs
+    O(new positions) however long the context.  Backends built from an
+    equal vocabulary share one ``vocab`` table; the last vocabulary is kept
+    as a private copy, so changing a list after construction changes no
+    backend.
+
     The slot is a tuple swapped in whole, never cut in place, and the
     predictions grow after the hashes, so a new slot that takes ``k`` from
     the old predictions finds ``k`` hashes even while another thread grows
@@ -142,12 +148,18 @@ class SeededRandomBackend:
     concurrent_safe = True
     eos_token = EOS
 
-    def __init__(self, seed: int, vocab: Sequence[str]):
-        vocab = tuple(vocab)
-        if EOS not in vocab:
-            vocab += (EOS,)
+    # (a private copy of the last vocabulary given, its table)
+    _vocabs: tuple[list[str], tuple[str, ...]] = ([], (EOS,))
+
+    def __init__(self, seed: int, vocab: Iterable[str]):
+        given = vocab if isinstance(vocab, list) else list(vocab)
+        key, table = SeededRandomBackend._vocabs
+        if given != key:
+            key = given[:]
+            table = tuple(key) if EOS in key else (*key, EOS)
+            SeededRandomBackend._vocabs = (key, table)
         self.seed = seed
-        self.vocab = vocab
+        self.vocab = table
         self._token_ids: dict[str, int] = {}
         self._seed64 = seed & _MASK64
         # the last Prefix buffer, held so its id stays its own, with the
@@ -188,7 +200,7 @@ class SeededRandomBackend:
             hashes, preds = hashes[:k], preds[:k]
             self._view = (buffer, hashes, preds)
         if len(hashes) < n:
-            self._hash(islice(buffer, len(hashes), n), hashes, preds)
+            self._hash(buffer[len(hashes):n], hashes, preds)
         return hashes, preds
 
     def forward(self, tokens: Sequence[str]) -> Sequence[str]:
@@ -226,7 +238,7 @@ class _DraftPredictions:
         """The draft's predictions, hashed up to position ``stop``."""
         preds = self._preds
         if len(preds) < stop:
-            self._backend._hash(islice(self._draft, len(preds), stop), self._hashes, preds)
+            self._backend._hash(self._draft[len(preds):stop], self._hashes, preds)
         return preds
 
     def __getitem__(self, i: int | slice):

@@ -341,7 +341,7 @@ def triage_source(code: str, tests: list[TestCase],
     test that removes, replaces or changes either leaves the next test a
     new directory with a new copy, written from the bytes read once after
     compiling, so no test can stop the next one from starting, not even by
-    removing the compiled binary through ``..``.
+    removing the compiled binary or the jail root through ``..``.
     """
     config = config or ExecutorConfig()
     results = []
@@ -353,7 +353,9 @@ def triage_source(code: str, tests: list[TestCase],
         for i, case in enumerate(tests if ok else ()):
             if seen is None or _fingerprint(own) != seen:
                 # a new directory and copy for every test cost about half a
-                # millisecond each, so only when the last test changed its own
+                # millisecond each, so only when the last test changed its own;
+                # that test may have removed the jail root too
+                jail.mkdir(mode=0o700, exist_ok=True)
                 own = _write_copy(image, Path(tempfile.mkdtemp(dir=jail)) / binary.name)
                 seen = _fingerprint(own)
             results.append(run_test(own, case, config, index=i))

@@ -200,8 +200,7 @@ def seeded_random_ref(seed: int, vocab: list[str], tokens: list[str]) -> list[st
     Every call hashes the whole context from scratch.  The library keeps
     one cache, for the last buffer it was given as a ``Prefix``: a
     ``Prefix`` pass hashes only the positions of its buffer past those it
-    has hashed before, and a list that starts with the cached positions
-    hashes only the rest, without writing the cache.
+    has hashed before, and a list is hashed from scratch.
     ``vocab`` must include EOS.
     """
     mask = (1 << 64) - 1

@@ -260,6 +260,82 @@ def test_seeded_backend_keeps_an_iterator_vocab_in_order():
     assert SeededRandomBackend(1, iter(["a", "b"])).vocab == ("a", "b", EOS)
 
 
+def test_backends_built_from_an_equal_vocab_share_its_table():
+    v = [f"t{i}" for i in range(40)]
+    first = SeededRandomBackend(1, v)
+    assert SeededRandomBackend(2, v).vocab is first.vocab
+    # an iterator or a tuple is read into a list first, and equals it
+    assert SeededRandomBackend(3, iter(v)).vocab is first.vocab
+    assert SeededRandomBackend(4, tuple(v)).vocab is first.vocab
+    assert SeededRandomBackend(5, list(v)).vocab is first.vocab
+
+
+def test_changing_a_vocab_list_changes_no_backend_built_from_it():
+    v = ["a", "b", "c"]
+    toks = ["a", "b", "c", "a", "c", "b", "a"]
+    first = SeededRandomBackend(7, v)
+    want = first.forward(toks)
+    # same length and same list object: only the contents tell them apart
+    v[:] = ["x", "y", "z"]
+    later = SeededRandomBackend(7, v)
+    assert later.vocab == ("x", "y", "z", EOS)
+    assert later.forward(toks) == seeded_random_ref(7, ["x", "y", "z", EOS], toks)
+    assert first.vocab == ("a", "b", "c", EOS)
+    assert first.forward(toks) == want == seeded_random_ref(7, ["a", "b", "c", EOS], toks)
+
+
+def test_threads_building_backends_from_different_vocabs_get_their_own():
+    vocabs = [[f"v{t}.{i}" for i in range(50 + t)] for t in range(4)]
+    errors = []
+
+    def build(t: int) -> None:
+        try:
+            for _ in range(300):
+                # a copy per backend, so no thread can pass the memo's own list
+                backend = SeededRandomBackend(t, list(vocabs[t]))
+                if backend.vocab != (*vocabs[t], EOS):
+                    errors.append((t, backend.vocab[:1]))
+        except Exception as exc:  # reported below with the thread that raised it
+            errors.append((t, exc))
+
+    threads = [threading.Thread(target=build, args=(t,)) for t in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+
+
+class _BuildsOnce(str):
+    """A token that builds a backend from ``other`` the first time it is
+    compared, the way another thread could while its table is made."""
+
+    other = None
+
+    def __eq__(self, x):
+        if self.other:
+            other, self.other = self.other, None
+            SeededRandomBackend(0, other)
+        return str.__eq__(self, x)
+
+    __hash__ = str.__hash__
+
+
+def test_a_construction_during_another_leaves_each_its_own_table():
+    # threads rarely switch inside one construction; this one always does,
+    # while the outer table is made, so a memo of two slots mixes them up
+    token = _BuildsOnce("b")
+    token.other = ["x", "y"]
+    assert SeededRandomBackend(1, ["a", token]).vocab == ("a", "b", EOS)
+    assert SeededRandomBackend(2, ["x", "y"]).vocab == ("x", "y", EOS)
+
+
 _WALK_VOCAB = ["a", "b", "c", ";", "{", "}"]
 _WALK_STEP = st.tuples(st.sampled_from(["one", "draft", "truncate", "branch",
                                         "grow", "off"]),
@@ -337,6 +413,46 @@ def test_random_greedy_decode_hashes_each_position_once(n_prompt, cap):
     assert len(hashed) == n_prompt + cap - 1
     assert all(isinstance(a, Prefix) for a in answers)
     assert len({id(a.buffer) for a in answers}) == 1
+
+
+class _SliceOnly(list):
+    """A context list that cannot be walked, and counts the entries sliced
+    from it."""
+
+    read = 0
+
+    def __iter__(self):
+        raise AssertionError("the whole buffer was walked")
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        if isinstance(i, slice):
+            self.read += len(got)
+        return got
+
+
+def test_greedy_steps_and_draft_reads_slice_only_their_new_positions():
+    # a step costs its new positions, not a walk of the whole context
+    backend = SeededRandomBackend(4, _BIG_VOCAB)
+    vocab = list(backend.vocab)
+    toks = ["<fix>"] + _BIG_VOCAB[:450]
+    buf = _SliceOnly(toks)
+    backend.forward(Prefix(buf, len(buf)))
+    assert buf.read == len(toks)
+    for tok in _BIG_VOCAB[500:510]:
+        buf.append(tok)
+        toks.append(tok)
+        buf.read = 0
+        got = backend.forward(Prefix(buf, len(buf)))
+        assert buf.read == 1
+        assert list(got) == seeded_random_ref(4, vocab, toks)
+    n = len(toks)
+    draft = _SliceOnly(_BIG_VOCAB[600:640])
+    draft.read = buf.read = 0
+    got = backend.forward(Extended(Prefix(buf, n), draft))
+    want = seeded_random_ref(4, vocab, toks + _BIG_VOCAB[600:640])
+    assert got[n + 9] == want[n + 9] and (buf.read, draft.read) == (0, 10)
+    assert got[n + 20] == want[n + 20] and (buf.read, draft.read) == (0, 21)
 
 
 def test_verify_passes_read_the_prefix_cache_and_never_write_it():

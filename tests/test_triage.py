@@ -326,7 +326,10 @@ int main(int argc, char **argv) {
         os.geteuid() == 0, reason="root writes to a directory whatever its mode")),
     # the compiled binary that every new copy used to come from, then its own copy
     'remove("../main.bin"); remove(argv[0]);',
-], ids=["remove", "chmod", "truncate", "fifo", "rm-cwd", "chmod-cwd", "remove-compiled"])
+    # the jail root, where the next test's directory is made; guarded as rm-cwd
+    r'system("p=\"${PWD%/*}\"; case \"${p##*/}\" in repairkit-*) rm -rf -- \"$p\";; esac");',
+], ids=["remove", "chmod", "truncate", "fifo", "rm-cwd", "chmod-cwd", "remove-compiled",
+        "remove-root"])
 def test_a_test_that_breaks_its_jail_does_not_stop_the_next(damage):
     code = BREAKS_ITS_JAIL.replace("DAMAGE", damage)
     # Failed is no OSError, so nothing in triage can catch it
