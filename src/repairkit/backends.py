@@ -32,7 +32,7 @@ from __future__ import annotations
 import zlib
 from typing import Iterable, Sequence
 
-from .decoding import Extended, Prefix, longest_matching_prefix, repair_prompt
+from .decoding import Extended, Prefix, _prefix, longest_matching_prefix, repair_prompt
 from .errors import DegenerateInputError, RepairKitError
 
 __all__ = [
@@ -100,7 +100,7 @@ class TargetOracleBackend:
         stream = self._stream
         if len(stream) < n:
             stream += [self.eos_token] * (n - len(stream))
-        return Prefix(stream, n) if view else stream[:n]
+        return _prefix(stream, n) if view else stream[:n]
 
 
 _MASK64 = (1 << 64) - 1
@@ -206,11 +206,11 @@ class SeededRandomBackend:
     def forward(self, tokens: Sequence[str]) -> Sequence[str]:
         if isinstance(tokens, Prefix):
             n = tokens.n
-            return Prefix(self._slot(tokens.buffer, n)[1], n)
+            return _prefix(self._slot(tokens.buffer, n)[1], n)
         if isinstance(tokens, Extended):
             n = tokens.context.n
             hashes, preds = self._slot(tokens.context.buffer, n)
-            return _DraftPredictions(self, Prefix(preds, n), hashes[n - 1:n], tokens.draft)
+            return _DraftPredictions(self, _prefix(preds, n), hashes[n - 1:n], tokens.draft)
         preds = []
         self._hash(tokens, [], preds)
         return preds

@@ -34,7 +34,9 @@ may answer with any sequence, even one that computes a draft position's
 prediction only when it is read.  The decoder reads the context's
 predictions once, then the draft's only up to the first disagreement plus
 one correction, in chunks that double.  A backend that does not know
-``Extended`` may treat it as any sequence.
+``Extended`` may treat it as any sequence.  The decoders and the mock
+backends build the views they own unchecked, since each knows its ``n`` is
+in range; a ``Prefix`` built by anyone else checks its arguments.
 """
 
 from __future__ import annotations
@@ -100,19 +102,30 @@ class Prefix:
         return self.n
 
     def __getitem__(self, i: int | slice):
-        if isinstance(i, slice):
+        # an exact int, the decoders' own read, skips the slice test
+        if i.__class__ is not int and isinstance(i, slice):
             start, stop, step = i.indices(self.n)
             if start < 0:  # a negative step from before the first entry: empty
                 return []
             return self.buffer[start:stop if stop >= 0 else None:step]
+        n = self.n
         if i < 0:
-            i += self.n
-        if not 0 <= i < self.n:
+            i += n
+        if not 0 <= i < n:
             raise IndexError("Prefix index out of range")
         return self.buffer[i]
 
     def __iter__(self):
         return islice(self.buffer, self.n)
+
+
+def _prefix(buffer: list, n: int) -> Prefix:
+    """``Prefix(buffer, n)`` without its checks, for a maker that knows
+    ``buffer`` is a list of at least ``n`` entries."""
+    view = object.__new__(Prefix)
+    view.buffer = buffer
+    view.n = n
+    return view
 
 
 class Extended:
@@ -280,13 +293,15 @@ def draft_generate(source: DraftSource, emitted: Sequence[str],
     return list(tokens[anchor:]), anchor
 
 
+def _miscount(got: int, n: int) -> BackendContractError:
+    return BackendContractError(f"forward returned {got} predictions for {n} tokens")
+
+
 def _forward(model: ModelBackend, tokens: Sequence[str]) -> Sequence[str]:
     """``model.forward(tokens)``, held to one prediction per position."""
     preds = model.forward(tokens)
     if len(preds) != len(tokens):
-        raise BackendContractError(
-            f"forward returned {len(preds)} predictions for {len(tokens)} tokens"
-        )
+        raise _miscount(len(preds), len(tokens))
     return preds
 
 
@@ -297,21 +312,26 @@ def ar_decode(model: ModelBackend, prompt: Sequence[str],
     if not prompt:
         raise DegenerateInputError("prompt is empty")
     DecodeLimits(max_tokens)  # checks the cap
-    eos = model.eos_token
+    eos, forward = model.eos_token, model.forward
     ctx = list(prompt)  # grows only, so each pass may see a Prefix of it
+    n = len(ctx)
+    stop = n + max_tokens
     out: list[str] = []
     sim_cost = 0.0
-    while len(out) < max_tokens:
-        preds = _forward(model, Prefix(ctx, len(ctx)))
-        sim_cost += _pass_cost(len(ctx))
+    while n < stop:
+        preds = forward(_prefix(ctx, n))
+        if len(preds) != n:
+            raise _miscount(len(preds), n)
+        sim_cost += _pass_cost(n)
         tok = preds[-1]
         out.append(tok)
         ctx.append(tok)
+        n += 1
         if tok == eos:
             break
-    n = len(out)
-    stats = DecodeStats(forward_passes=n, tokens_emitted=n,
-                        ar_fallback_tokens=n, sim_cost=sim_cost)
+    emitted = len(out)
+    stats = DecodeStats(forward_passes=emitted, tokens_emitted=emitted,
+                        ar_fallback_tokens=emitted, sim_cost=sim_cost)
     return DecodeResult(out, stats, truncated=(not out or out[-1] != eos))
 
 
@@ -355,7 +375,7 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
     if not prompt:
         raise DegenerateInputError("prompt is empty")
     limits = limits or DecodeLimits()
-    eos, cap = model.eos_token, limits.max_tokens
+    eos, cap, forward = model.eos_token, limits.max_tokens, model.forward
     ctx = list(prompt)  # grows only, so greedy steps may see a Prefix of it
     out: list[str] = []
     passes = draft_accepted = corrections = fallback_tokens = 0
@@ -394,13 +414,17 @@ def accelerated_decode(model: ModelBackend, prompt: Sequence[str],
         # Plain greedy steps.  With a draft they bridge the divergence and
         # stop early at a statement boundary so realignment can kick in;
         # with the draft exhausted they decode the remainder.
+        n = len(ctx)
         for _ in range(run):
-            preds = _forward(model, Prefix(ctx, len(ctx)))
+            preds = forward(_prefix(ctx, n))
+            if len(preds) != n:
+                raise _miscount(len(preds), n)
             passes += 1
-            sim_cost += _pass_cost(len(ctx))
+            sim_cost += _pass_cost(n)
             tok = preds[-1]
             out.append(tok)
             ctx.append(tok)
+            n += 1
             fallback_tokens += 1
             if tok == eos or (draft and tok in BOUNDARY_TOKENS):
                 break

@@ -111,17 +111,22 @@ def similarity(e: str, m: str, cfg: MaskConfig | None = None) -> float:
 
 
 def _relatedness(e: str, sources: Sequence[str], cfg: MaskConfig) -> float:
-    return sum(similarity(e, s, cfg) for s in sources)
+    # a repeated source is measured once and summed as often as it appears
+    sims = {s: similarity(e, s, cfg) for s in dict.fromkeys(sources)}
+    return sum(sims[s] for s in sources)
+
+
+def _clamp(total: float, cfg: MaskConfig) -> float:
+    if cfg.expansion_aggregation == "cap":
+        return min(1.0, total)
+    return max(1.0, total)
 
 
 def expansion_weight(e: str, sources: Sequence[str],
                      cfg: MaskConfig | None = None) -> float:
     """Aggregate similarity of ``e`` against every modified statement."""
     cfg = cfg or MaskConfig()
-    total = _relatedness(e, sources, cfg)
-    if cfg.expansion_aggregation == "cap":
-        return min(1.0, total)
-    return max(1.0, total)
+    return _clamp(_relatedness(e, sources, cfg), cfg)
 
 
 def _modification_sources(diff: AlignedDiff) -> list[str]:
@@ -188,6 +193,15 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
     modified = set(diff.modified)
     members = expansion_members(diff) if expand else set()
 
+    # a statement text's relatedness to the sources, measured once per build
+    related: dict[str, float] = {}
+
+    def relatedness(text: str) -> float:
+        total = related.get(text)
+        if total is None:
+            total = related[text] = _relatedness(text, sources, cfg)
+        return total
+
     # each statement's role, in order of precedence, and its raw weight
     raw: list[float] = []
     roles: list[str] = []
@@ -195,11 +209,11 @@ def build_mask(buggy: SourceUnit | str, fixed: SourceUnit | str,
         if idx in modified:
             role, weight = "modified", 1.0
         elif idx in members:
-            role, weight = "expanded", expansion_weight(stmt.normalized, sources, cfg)
+            role, weight = "expanded", _clamp(relatedness(stmt.normalized), cfg)
         elif pad:
             role, weight = "padding", _padding_value(cfg.rng_seed, idx, cfg.sigma)
         elif expand:
-            role, weight = "relatedness", _relatedness(stmt.normalized, sources, cfg)
+            role, weight = "relatedness", relatedness(stmt.normalized)
         else:
             role, weight = "zero", 0.0
         roles.append(role)

@@ -333,6 +333,16 @@ def _write_copy(image: bytes, path: Path) -> Path:
     return path
 
 
+def _reclaim(root: Path) -> None:
+    """Unlink whatever a test left at ``root`` in place of a directory,
+    without following a link."""
+    try:
+        if not stat.S_ISDIR(os.lstat(root).st_mode):
+            os.unlink(root)
+    except FileNotFoundError:
+        pass
+
+
 def triage_source(code: str, tests: list[TestCase],
                   config: ExecutorConfig | None = None) -> ExecutionReport:
     """Compile ``code`` and run every test; never raises on program faults.
@@ -341,7 +351,8 @@ def triage_source(code: str, tests: list[TestCase],
     test that removes, replaces or changes either leaves the next test a
     new directory with a new copy, written from the bytes read once after
     compiling, so no test can stop the next one from starting, not even by
-    removing the compiled binary or the jail root through ``..``.
+    removing the compiled binary or removing or replacing the jail root
+    through ``..``.
     """
     config = config or ExecutorConfig()
     results = []
@@ -354,11 +365,13 @@ def triage_source(code: str, tests: list[TestCase],
             if seen is None or _fingerprint(own) != seen:
                 # a new directory and copy for every test cost about half a
                 # millisecond each, so only when the last test changed its own;
-                # that test may have removed the jail root too
+                # that test may have removed or replaced the jail root too
+                _reclaim(jail)
                 jail.mkdir(mode=0o700, exist_ok=True)
                 own = _write_copy(image, Path(tempfile.mkdtemp(dir=jail)) / binary.name)
                 seen = _fingerprint(own)
             results.append(run_test(own, case, config, index=i))
+        _reclaim(jail)  # the cleanup removes only a directory tree
     return ExecutionReport(compile_ok=ok, diagnostics=diag, results=results)
 
 

@@ -162,6 +162,32 @@ def test_a_prefix_slice_reads_only_the_slice():
     assert buf.reads == [(10, 13), (898, 900), (5, 2)]
 
 
+class _Index(int):
+    """An int subclass, which takes the general index path."""
+
+
+def _read(view, i):
+    try:
+        return view[i]
+    except IndexError:
+        return IndexError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=2), max_size=8, unique=True), st.data(),
+       _SLICE_BOUND, _SLICE_BOUND, st.one_of(st.none(), st.integers(-3, 3).filter(bool)))
+def test_the_unchecked_prefix_reads_like_the_checked_one(buf, data, start, stop, step):
+    # the decoders and the mock backends build their views with decoding._prefix
+    n = data.draw(st.integers(0, len(buf)))
+    checked, unchecked, want = Prefix(buf, n), decoding._prefix(buf, n), buf[:n]
+    assert type(unchecked) is Prefix
+    for i in [*range(-n - 2, n + 2), True, False, _Index(n - 1), _Index(n)]:
+        assert _read(checked, i) == _read(unchecked, i) == _read(want, i), i
+    assert checked[start:stop:step] == unchecked[start:stop:step] == want[start:stop:step]
+    assert len(checked) == len(unchecked) == n
+    assert list(checked) == list(unchecked) == want
+
+
 # ---------------------------------------------------------------------------
 # the Extended view
 
@@ -693,6 +719,26 @@ def test_decoders_reject_a_pass_of_the_wrong_length(decode, delta):
         else:
             accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy),
                                DecodeLimits(max_tokens=6))
+
+
+class _OffByOnStepsBackend(_OffByBackend):
+    """An honest oracle except that its answers to a ``Prefix``, a greedy
+    step, hold ``delta`` predictions too many."""
+
+    def forward(self, tokens):
+        if isinstance(tokens, Prefix):
+            return super().forward(tokens)
+        return self._oracle.forward(tokens)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_accelerated_decode_rejects_a_greedy_step_of_the_wrong_length(delta):
+    # the verify passes are honest, so only the greedy bridge's check can fire
+    buggy = ["a", "=", "1", ";", "b", "=", "2", ";"]
+    prompt = repair_prompt(buggy)
+    backend = _OffByOnStepsBackend(prompt, ["a", "=", "3", "+", "4", ";"] + buggy[4:], delta)
+    with pytest.raises(BackendContractError, match="predictions for"):
+        accelerated_decode(backend, prompt, DraftSource.from_tokens(buggy))
 
 
 # ---------------------------------------------------------------------------

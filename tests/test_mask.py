@@ -211,6 +211,35 @@ def test_facts_are_extracted_once_from_the_fixed_unit(monkeypatch):
     assert len(calls) == 1 and calls[0] is fixed
 
 
+def _distance_calls(monkeypatch, buggy, fixed, cfg):
+    calls = []
+
+    def counting(e, m, cfg=None):
+        calls.append((e, m))
+        return statement_distance(e, m, cfg)
+
+    monkeypatch.setattr("repairkit.mask.statement_distance", counting)
+    build_mask(buggy, fixed, cfg)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("granularity", ["char", "token"])
+@pytest.mark.parametrize("strategy", ["M3", "M4"])
+def test_a_build_measures_each_statement_source_pair_once(monkeypatch, strategy, granularity):
+    cfg = MaskConfig(strategy=strategy, dist_granularity=granularity)
+    # two modified statements with one text, and unmodified texts that repeat
+    pairs = [("x = 1;\nx = 1;\ny = 3;\ny = 3;\nz = 4;\n",
+              "x = 2;\nx = 2;\ny = 3;\ny = 3;\nz = 4;\n")]
+    for seed in range(20):
+        rng = random.Random(seed)
+        buggy = gen_program(rng)
+        pairs.append((buggy, perturb_program(rng, buggy)))
+    for buggy, fixed in pairs:
+        calls = _distance_calls(monkeypatch, buggy, fixed, cfg)
+        assert calls and len(calls) == len(set(calls)), fixed
+
+
 def test_empty_fixed_side_is_degenerate():
     mask = build_mask("a = 1;", "", MaskConfig(strategy="M4"))
     assert "no_fixed_statements" in mask.flags

@@ -10,6 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -328,9 +329,14 @@ int main(int argc, char **argv) {
     'remove("../main.bin"); remove(argv[0]);',
     # the jail root, where the next test's directory is made; guarded as rm-cwd
     r'system("p=\"${PWD%/*}\"; case \"${p##*/}\" in repairkit-*) rm -rf -- \"$p\";; esac");',
+    # the jail root replaced with a file, found from the binary's path
+    r'execl("/bin/sh", "sh", "-c", "p=$(dirname \"$(dirname \"$0\")\"); '
+    r'case \"${p##*/}\" in repairkit-*) rm -rf -- \"$p\" && : > \"$p\";; esac", '
+    r'argv[0], (char *)0);',
 ], ids=["remove", "chmod", "truncate", "fifo", "rm-cwd", "chmod-cwd", "remove-compiled",
-        "remove-root"])
-def test_a_test_that_breaks_its_jail_does_not_stop_the_next(damage):
+        "remove-root", "replace-root"])
+def test_a_test_that_breaks_its_jail_does_not_stop_the_next(damage, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     code = BREAKS_ITS_JAIL.replace("DAMAGE", damage)
     # Failed is no OSError, so nothing in triage can catch it
     old = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("triage hung"))
@@ -341,6 +347,7 @@ def test_a_test_that_breaks_its_jail_does_not_stop_the_next(damage):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
     assert [r.passed for r in report.results] == [True, True]
+    assert list(tmp_path.iterdir()) == []  # the jail root is gone, whatever it became
 
 
 # spins until its CPU time is capped, then prints the cap
